@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, compiler, isa, simulator, wavemem, workload
+from . import __version__, compiler, isa, simulator, workload
 from .errors import (CapacityExceeded, GoldenConfigError, GoldenMismatch,
                      ParseError, QcoprocError, ValidationError)
 
@@ -116,13 +116,19 @@ def _noise_from_args(args) -> simulator.NoiseParams:
     return simulator.NoiseParams(t1=tuple(args.t1), t2=tuple(args.t2))
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_config(args) -> workload.ExperimentConfig:
-    data = json.loads(Path(args.config).read_text())
-    config = workload.ExperimentConfig.from_json_dict(data)
+    config = workload.ExperimentConfig.from_json_dict(_read_json(args.config))
     overrides = {}
-    if getattr(args, "backend", None):
+    if getattr(args, "backend", None) is not None:
         overrides["backend"] = args.backend
-    if getattr(args, "capacity", None):
+    if getattr(args, "capacity", None) is not None:
         overrides["capacity"] = args.capacity
     if overrides:
         config = workload.ExperimentConfig(**{**config.__dict__, **overrides})
@@ -142,13 +148,22 @@ def _golden_dict(config: workload.ExperimentConfig,
 def compare_golden(config: workload.ExperimentConfig,
                    result: workload.ExperimentResult, golden: dict,
                    tol: float = 1e-9) -> None:
+    if not isinstance(golden, dict):
+        raise GoldenMismatch("golden record must be a JSON object")
     if golden.get("config_hash") != config_hash(config):
         raise GoldenConfigError("golden record was produced under a different config")
+    values = golden.get("values")
+    expected_keys = {repr(float(w)) for w in config.w_values}
+    if not isinstance(values, dict) or set(values) != expected_keys:
+        raise GoldenMismatch(f"golden values must be keyed by exactly {sorted(expected_keys)}")
     offending = []
     for w in config.w_values:
-        recorded = golden["values"][repr(float(w))]
+        recorded = values[repr(float(w))]
+        if not isinstance(recorded, list) or len(recorded) != config.n_steps + 1:
+            raise GoldenMismatch(f"golden for w={w:g} must list {config.n_steps + 1} values")
         for k, (a, b) in enumerate(zip(result.series[w].mean, recorded)):
-            if abs(a - b) > tol:
+            if not (isinstance(b, (int, float)) and math.isfinite(a) and math.isfinite(b)
+                    and abs(a - b) <= tol):
                 offending.append((float(w), k, a, b))
     if offending:
         listing = ", ".join(f"(w={w:g}, k={k}: {a!r} != {b!r})"
@@ -173,7 +188,7 @@ def cmd_experiment(args) -> int:
         _write(args.write_golden,
                json.dumps(_golden_dict(config, result), indent=2, sort_keys=True) + "\n")
     if args.golden:
-        golden = json.loads(Path(args.golden).read_text())
+        golden = _read_json(args.golden)
         compare_golden(config, result, golden)
         print("golden record matched", file=sys.stderr)
     return 0
@@ -200,29 +215,13 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_paging_report(args) -> int:
-    """Replay the experiment's program sequence through the waveform memory only."""
+    """Replay the experiment's program stream through the waveform memory only."""
     config = _load_config(args)
-    rct = wavemem.RCT(capacity=config.capacity)
-    qos = wavemem.QOSRegistry()
-    evict_rng = np.random.default_rng(workload.derive_seed(config.master_seed, 0xE, 0xE))
-    runs = []
-    total_loads = total_hits = 0
-    for w_index, w in enumerate(config.w_values):
-        for i in range(config.n_realizations):
-            seed_index = 0 if config.share_realizations_across_w else w_index
-            seed = workload.derive_seed(config.master_seed, seed_index, i)
-            r = workload.sample_disorder(w, config.tau, config.n_steps,
-                                         np.random.default_rng(seed), seed=seed)
-            for k in range(config.n_steps + 1):
-                program = workload.build_native_circuit(r, k)
-                wavemem.dgs_scan(program, qos)
-                _, report = wavemem.page_update(program, rct, evict_rng)
-                total_loads += len(report.loaded)
-                total_hits += report.hits
-                runs.append({"w": float(w), "realization": i, "k": k,
-                             **report.to_json_dict()})
-    body = {"capacity": config.capacity, "total_loads": total_loads,
-            "total_hits": total_hits, "runs": runs}
+    runs = [{"w": float(w), "realization": i, "k": k, **report.to_json_dict()}
+            for w, i, _, k, _, report in workload.paged_programs(config)]
+    body = {"capacity": config.capacity,
+            "total_loads": sum(len(run["loaded"]) for run in runs),
+            "total_hits": sum(run["hits"] for run in runs), "runs": runs}
     text = json.dumps(body, indent=2, sort_keys=True) + "\n"
     if args.out:
         _write(args.out, text)

@@ -369,31 +369,21 @@ def _parse_source_statement(text: str, line: int):
     parts = text.strip().split(None, 1)
     mnemonic, rest = parts[0], (parts[1] if len(parts) > 1 else "")
     ops = [o.strip() for o in rest.split(",")] if rest else []
-
-    def angle(tok):
-        try:
-            return float(tok) * math.pi
-        except ValueError:
-            raise ParseError(f"expected angle in units of pi, got {tok!r}", line) from None
-
-    def qubit(tok):
-        if not tok.startswith("q") or not tok[1:].isdigit():
-            raise ParseError(f"expected qubit operand, got {tok!r}", line)
-        return int(tok[1:])
+    qubit, angle = isa._parse_qubit, isa._parse_angle
 
     if mnemonic in ("rx", "ry", "rz"):
         if len(ops) != 2:
             raise ParseError(f"{mnemonic} takes qubit, angle", line)
         cls = {"rx": Rx, "ry": Ry, "rz": Rz}[mnemonic]
-        return cls(qubit(ops[0]), angle(ops[1]))
+        return cls(qubit(ops[0], line), angle(ops[1], line) * math.pi)
     if mnemonic == "cnot":
         if len(ops) != 2:
             raise ParseError("cnot takes target, control", line)
-        return CNOT(qubit(ops[0]), qubit(ops[1]))
+        return CNOT(qubit(ops[0], line), qubit(ops[1], line))
     if mnemonic == "crx":
         if len(ops) != 3:
             raise ParseError("crx takes rotated, conditioning, angle", line)
-        return CRx(angle(ops[2]), qubit(ops[0]), qubit(ops[1]))
+        return CRx(angle(ops[2], line) * math.pi, qubit(ops[0], line), qubit(ops[1], line))
     return isa._parse_statement(text, line)
 
 

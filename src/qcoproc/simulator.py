@@ -1,13 +1,19 @@
 """Execution backends for native programs plus the exact-evolution oracle.
 
-The ideal backend evolves a state vector slot by slot.  The noisy backend
-evolves a density matrix and applies per-qubit amplitude-damping and
-pure-dephasing channels after every slot, parameterized by per-qubit T1/T2
-and gate durations (single-qubit 20 ns, cZ 40 ns by default; qubits idling
-during a slot decohere for the full slot duration).
+Both backends run through one slot loop, ``_run``, which owns the exact,
+terminal-sampled and per-shot branches and the measurement RNG.  What differs
+per representation lives on the state classes: ``evolve``, ``project``,
+``reset`` and ``basis_probabilities``.  The ideal backend evolves a
+``StateVector``, where reset is a projection onto |0>.  The noisy backend
+evolves a ``DensityMatrix``, where reset traces the qubit out, and its
+after-slot hook applies per-qubit amplitude-damping and pure-dephasing
+channels parameterized by per-qubit T1/T2 and gate durations (single-qubit
+20 ns, cZ 40 ns by default; qubits idling during a slot decohere for the full
+slot duration).
 
 Measurement records either exact probabilities (no collapse, the default for
 the deterministic experiment pipeline) or per-shot sampled bits with collapse.
+Sampling is vectorized over shots when every measurement is terminal.
 """
 
 from __future__ import annotations
@@ -20,11 +26,14 @@ import numpy as np
 from .errors import (InvalidNoise, InvalidProgram, NotHermitian, NotNormalized,
                      ValidationError)
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  rxy_matrix, slot_unitary)
+                  _embed_1q, rxy_matrix, slot_unitary)
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# Kraus pair that traces a qubit out and re-prepares it in |0>
+_RESET_KRAUS = (np.array([[1, 0], [0, 0]], dtype=complex),
+                np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 @dataclass
@@ -49,6 +58,29 @@ class StateVector:
         idx = np.arange(len(self.amplitudes))
         mask = (idx >> qubit) & 1 == 1
         return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
+
+    def evolve(self, U: np.ndarray) -> None:
+        self.amplitudes = U @ self.amplitudes
+
+    def project(self, qubit: int, outcome: int, what: str = "measurement") -> None:
+        """Collapse onto ``outcome`` of ``qubit``; an impossible outcome raises."""
+        idx = np.arange(len(self.amplitudes))
+        keep = ((idx >> qubit) & 1) == outcome
+        prob = float(np.sum(np.abs(self.amplitudes[keep]) ** 2))
+        if prob < 1e-12:
+            raise InvalidProgram(f"{what} outcome {outcome} on q{qubit} has probability {prob:.3e}")
+        self.amplitudes = np.where(keep, self.amplitudes, 0.0) / math.sqrt(prob)
+
+    def reset(self, qubit: int) -> None:
+        """A pure state has no channel to re-prepare |0>: reset projects onto it."""
+        self.project(qubit, 0, what="reset")
+
+    def basis_probabilities(self) -> np.ndarray:
+        probs = np.abs(self.amplitudes) ** 2
+        norm = float(np.sum(probs))
+        if abs(norm - 1.0) > 1e-10:
+            raise InvalidProgram(f"state norm drifted to {norm}")
+        return probs / probs.sum()
 
 
 @dataclass
@@ -82,6 +114,34 @@ class DensityMatrix:
         diag = np.real(np.diag(self.entries))
         idx = np.arange(len(diag))
         return float(np.sum(diag[(idx >> qubit) & 1 == 1]))
+
+    def evolve(self, U: np.ndarray) -> None:
+        self.entries = U @ self.entries @ U.conj().T
+
+    def apply_channel(self, kraus_ops: list[np.ndarray]) -> None:
+        self.entries = sum(K @ self.entries @ K.conj().T for K in kraus_ops)
+
+    def project(self, qubit: int, outcome: int) -> None:
+        """Collapse onto ``outcome`` of ``qubit``; an impossible outcome raises."""
+        keep = ((np.arange(len(self.entries)) >> qubit) & 1) == outcome
+        P = np.diag(keep.astype(complex))
+        projected = P @ self.entries @ P
+        prob = float(np.trace(projected).real)
+        if prob < 1e-12:
+            raise InvalidProgram(f"measurement outcome {outcome} on q{qubit} has "
+                                 f"probability {prob:.3e}")
+        self.entries = projected / prob
+
+    def reset(self, qubit: int) -> None:
+        """Trace the qubit out and re-prepare it in |0>."""
+        self.apply_channel([_embed_1q(K, qubit, self.n_qubits) for K in _RESET_KRAUS])
+
+    def basis_probabilities(self) -> np.ndarray:
+        diag = np.real(np.diag(self.entries))
+        if abs(float(np.sum(diag)) - 1.0) > 1e-10:
+            raise InvalidProgram(f"density matrix trace drifted to {np.sum(diag)}")
+        probs = diag.clip(min=0.0)
+        return probs / probs.sum()
 
 
 @dataclass(frozen=True)
@@ -186,91 +246,86 @@ def run_ideal(program: QuantumProgram, mode: str = "exact", n_avg: int = 1000,
     when every measurement is terminal).
     """
     _validate_program(program)
-    if mode == "exact":
-        state = StateVector.ground(program.n_qubits)
+    return _run(program, StateVector.ground, lambda state, s: None, mode, n_avg, seed)
+
+
+def run_noisy(program: QuantumProgram, noise: NoiseParams, mode: str = "exact",
+              n_avg: int = 1000, seed: int | None = None,
+              check_invariants: bool = False) -> MeasurementRecord:
+    """Execute on the density-matrix backend with T1/T2 decay after every slot."""
+    _validate_program(program)
+    if len(noise.t1) < program.n_qubits:
+        raise InvalidNoise(f"noise parameters cover {len(noise.t1)} qubits, "
+                           f"program uses {program.n_qubits}")
+
+    def after_slot(rho: DensityMatrix, s: TimeSlot) -> None:
+        _apply_slot_noise(rho, s, noise)
+        if check_invariants:
+            rho.validate()
+
+    return _run(program, DensityMatrix.ground, after_slot, mode, n_avg, seed)
+
+
+def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
+         seed: int | None) -> MeasurementRecord:
+    """The slot loop shared by both backends.
+
+    ``ground(n_qubits)`` makes a fresh |0...0> state and ``after_slot(state, s)``
+    runs after every slot, measurement slots included.  Exact mode and sampled
+    mode with only terminal measurements evolve one state; the latter then
+    draws all shots from its basis probabilities.  Any other sampled program
+    is run shot by shot with collapse.
+    """
+    if mode not in ("exact", "sampled"):
+        raise InvalidProgram(f"unknown measurement mode {mode!r}")
+    if mode == "sampled" and n_avg < 1:
+        raise ValidationError(f"n_avg must be >= 1, got {n_avg}")
+    if mode == "exact" or _measures_are_terminal(program):
+        state = ground(program.n_qubits)
         registers: dict = {}
         for s in program.slots:
-            _ideal_apply_slot(state, s, registers)
-        _check_norm(state)
-        return MeasurementRecord(mode="exact", registers=registers)
-    if mode != "sampled":
-        raise InvalidProgram(f"unknown measurement mode {mode!r}")
-
-    rng = np.random.default_rng(seed)
-    if _measures_are_terminal(program):
-        state = StateVector.ground(program.n_qubits)
-        measures: list[Measure] = []
-        for s in program.slots:
-            if any(isinstance(i, Measure) for i in s.instructions):
-                measures.extend(s.instructions)
-            else:
-                _ideal_apply_slot(state, s, {})
-        _check_norm(state)
-        probs = np.abs(state.amplitudes) ** 2
-        probs = probs / probs.sum()
-        outcomes = rng.choice(len(probs), size=n_avg, p=probs)
-        registers = {m.register: ((outcomes >> m.qubit) & 1).tolist() for m in measures}
+            _apply_slot(state, s, registers)
+            after_slot(state, s)
+        probs = state.basis_probabilities()  # raises if normalization was lost
+        if mode == "exact":
+            return MeasurementRecord(mode="exact", registers=registers)
+        outcomes = np.random.default_rng(seed).choice(len(probs), size=n_avg, p=probs)
+        registers = {m.register: ((outcomes >> m.qubit) & 1).tolist()
+                     for m in program.instructions() if isinstance(m, Measure)}
     else:
-        bits: dict[str, list[int]] = {}
+        rng = np.random.default_rng(seed)
+        registers = {}
         for _ in range(n_avg):
-            state = StateVector.ground(program.n_qubits)
+            state = ground(program.n_qubits)
             for s in program.slots:
-                _ideal_apply_slot(state, s, {}, collapse_rng=rng, shot_bits=bits)
-        registers = dict(bits)
+                _apply_slot(state, s, registers, collapse_rng=rng)
+                after_slot(state, s)
     return MeasurementRecord(mode="sampled", registers=registers, n_avg=n_avg, seed=seed)
 
 
-def _check_norm(state: StateVector) -> None:
-    norm = float(np.sum(np.abs(state.amplitudes) ** 2))
-    if abs(norm - 1.0) > 1e-10:
-        raise InvalidProgram(f"state norm drifted to {norm}")
-
-
-def _ideal_apply_slot(state: StateVector, s: TimeSlot, registers: dict,
-                      collapse_rng=None, shot_bits=None) -> None:
+def _apply_slot(state: StateVector | DensityMatrix, s: TimeSlot, registers: dict,
+                collapse_rng=None) -> None:
+    """Apply one slot.  Without ``collapse_rng`` a measurement records P(|1>);
+    with it, a measurement draws one bit, collapses, and appends the bit."""
     if s.is_unitary():
-        state.amplitudes = slot_unitary(s, state.n_qubits) @ state.amplitudes
+        state.evolve(slot_unitary(s, state.n_qubits))
         return
     for instr in s.instructions:
         if isinstance(instr, Measure):
+            p1 = state.prob_one(instr.qubit)
             if collapse_rng is None:
-                registers[instr.register] = state.prob_one(instr.qubit)
+                registers[instr.register] = p1
             else:
-                p1 = state.prob_one(instr.qubit)
                 outcome = int(collapse_rng.random() < p1)
-                _project(state, instr.qubit, outcome)
-                shot_bits.setdefault(instr.register, []).append(outcome)
+                state.project(instr.qubit, outcome)
+                registers.setdefault(instr.register, []).append(outcome)
         elif isinstance(instr, Reset):
-            _project(state, instr.qubit, 0, err="reset")
+            state.reset(instr.qubit)
         else:
-            state.amplitudes = rxy_embed(instr, state.n_qubits) @ state.amplitudes
+            state.evolve(slot_unitary(TimeSlot((instr,)), state.n_qubits))
 
 
-def rxy_embed(instr, n_qubits: int) -> np.ndarray:
-    return slot_unitary(TimeSlot((instr,)), n_qubits)
-
-
-def _project(state: StateVector, qubit: int, outcome: int, err: str = "measurement") -> None:
-    idx = np.arange(len(state.amplitudes))
-    keep = ((idx >> qubit) & 1) == outcome
-    prob = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
-    if prob < 1e-12:
-        raise InvalidProgram(f"{err} outcome {outcome} on q{qubit} has probability {prob:.3e}")
-    state.amplitudes = np.where(keep, state.amplitudes, 0.0) / math.sqrt(prob)
-
-
-# --- noisy backend ---------------------------------------------------------------
-
-
-def _embed_kraus(K: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for q in range(n_qubits - 1, -1, -1):
-        out = np.kron(out, K if q == qubit else np.eye(2, dtype=complex))
-    return out
-
-
-def _apply_kraus(rho: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
-    return sum(K @ rho @ K.conj().T for K in ops)
+# --- noise channels ----------------------------------------------------------------
 
 
 def _noise_channels(noise: NoiseParams, qubit: int, duration: float,
@@ -282,108 +337,22 @@ def _noise_channels(noise: NoiseParams, qubit: int, duration: float,
     if p > 0.0:
         k0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
         k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
-        channels.append([_embed_kraus(k0, qubit, n_qubits), _embed_kraus(k1, qubit, n_qubits)])
+        channels.append([_embed_1q(k0, qubit, n_qubits), _embed_1q(k1, qubit, n_qubits)])
     # pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1)
     rate = 1.0 / noise.t2[qubit] - 0.5 / noise.t1[qubit]
     flip = (1.0 - math.exp(-duration * rate)) / 2.0 if rate > 0 else 0.0
     if flip > 0.0:
         ki = math.sqrt(1 - flip) * np.eye(2, dtype=complex)
         kz = math.sqrt(flip) * _PAULI_Z
-        channels.append([_embed_kraus(ki, qubit, n_qubits), _embed_kraus(kz, qubit, n_qubits)])
+        channels.append([_embed_1q(ki, qubit, n_qubits), _embed_1q(kz, qubit, n_qubits)])
     return channels
-
-
-def run_noisy(program: QuantumProgram, noise: NoiseParams, mode: str = "exact",
-              n_avg: int = 1000, seed: int | None = None,
-              check_invariants: bool = False) -> MeasurementRecord:
-    """Execute on the density-matrix backend with T1/T2 decay after every slot."""
-    _validate_program(program)
-    if len(noise.t1) < program.n_qubits:
-        raise InvalidNoise(f"noise parameters cover {len(noise.t1)} qubits, "
-                           f"program uses {program.n_qubits}")
-    if mode == "exact":
-        rho = DensityMatrix.ground(program.n_qubits)
-        registers: dict = {}
-        for s in program.slots:
-            _noisy_apply_slot(rho, s, noise, registers)
-            if check_invariants:
-                rho.validate()
-        return MeasurementRecord(mode="exact", registers=registers)
-    if mode != "sampled":
-        raise InvalidProgram(f"unknown measurement mode {mode!r}")
-
-    rng = np.random.default_rng(seed)
-    if _measures_are_terminal(program):
-        rho = DensityMatrix.ground(program.n_qubits)
-        measures: list[Measure] = []
-        for s in program.slots:
-            if any(isinstance(i, Measure) for i in s.instructions):
-                measures.extend(s.instructions)
-                _apply_slot_noise(rho, s, noise)
-            else:
-                _noisy_apply_slot(rho, s, noise, {})
-            if check_invariants:
-                rho.validate()
-        probs = np.real(np.diag(rho.entries)).clip(min=0.0)
-        probs = probs / probs.sum()
-        outcomes = rng.choice(len(probs), size=n_avg, p=probs)
-        registers = {m.register: ((outcomes >> m.qubit) & 1).tolist() for m in measures}
-    else:
-        bits: dict[str, list[int]] = {}
-        for _ in range(n_avg):
-            rho = DensityMatrix.ground(program.n_qubits)
-            for s in program.slots:
-                _noisy_apply_slot(rho, s, noise, {}, collapse_rng=rng, shot_bits=bits)
-        registers = dict(bits)
-    return MeasurementRecord(mode="sampled", registers=registers, n_avg=n_avg, seed=seed)
 
 
 def _apply_slot_noise(rho: DensityMatrix, s: TimeSlot, noise: NoiseParams) -> None:
     duration = noise.slot_duration(s)
     for q in range(rho.n_qubits):
         for channel in _noise_channels(noise, q, duration, rho.n_qubits):
-            rho.entries = _apply_kraus(rho.entries, channel)
-
-
-def _noisy_apply_slot(rho: DensityMatrix, s: TimeSlot, noise: NoiseParams,
-                      registers: dict, collapse_rng=None, shot_bits=None) -> None:
-    if s.is_unitary():
-        U = slot_unitary(s, rho.n_qubits)
-        rho.entries = U @ rho.entries @ U.conj().T
-    else:
-        for instr in s.instructions:
-            if isinstance(instr, Measure):
-                p1 = rho.prob_one(instr.qubit)
-                if collapse_rng is None:
-                    registers[instr.register] = p1
-                else:
-                    outcome = int(collapse_rng.random() < p1)
-                    _project_rho(rho, instr.qubit, outcome)
-                    shot_bits.setdefault(instr.register, []).append(outcome)
-            elif isinstance(instr, Reset):
-                # trace out the qubit and re-prepare |0>
-                k0 = np.array([[1, 0], [0, 0]], dtype=complex)
-                k1 = np.array([[0, 1], [0, 0]], dtype=complex)
-                rho.entries = _apply_kraus(rho.entries, [
-                    _embed_kraus(k0, instr.qubit, rho.n_qubits),
-                    _embed_kraus(k1, instr.qubit, rho.n_qubits)])
-            else:
-                U = rxy_embed(instr, rho.n_qubits)
-                rho.entries = U @ rho.entries @ U.conj().T
-    _apply_slot_noise(rho, s, noise)
-
-
-def _project_rho(rho: DensityMatrix, qubit: int, outcome: int) -> None:
-    dim = 1 << rho.n_qubits
-    idx = np.arange(dim)
-    keep = ((idx >> qubit) & 1) == outcome
-    P = np.diag(keep.astype(complex))
-    projected = P @ rho.entries @ P
-    prob = float(np.trace(projected).real)
-    if prob < 1e-12:
-        raise InvalidProgram(f"measurement outcome {outcome} on q{qubit} has "
-                             f"probability {prob:.3e}")
-    rho.entries = projected / prob
+            rho.apply_channel(channel)
 
 
 # --- spin-chain Hamiltonian and exact evolution -------------------------------------

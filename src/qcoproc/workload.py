@@ -198,8 +198,20 @@ class ExperimentConfig:
     share_realizations_across_w: bool = False
 
     def __post_init__(self):
+        if not self.w_values:
+            raise ValidationError("w_values must name at least one disorder strength")
+        if not all(math.isfinite(w) for w in self.w_values):
+            raise ValidationError(f"w_values must be finite, got {list(self.w_values)}")
         if self.n_realizations < 1:
             raise ValidationError("n_realizations must be >= 1")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
+        if self.n_steps < 0:
+            raise ValidationError("n_steps must be >= 0")
+        if self.n_avg < 1:
+            raise ValidationError("n_avg must be >= 1")
+        if self.capacity < 1:
+            raise ValidationError("capacity must be >= 1")
         if self.backend not in ("ideal", "noisy"):
             raise ValidationError(f"unknown backend {self.backend!r}")
         if self.measurement_mode not in ("exact", "sampled"):
@@ -212,34 +224,42 @@ class ExperimentConfig:
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
         """Strict loader: unknown fields are rejected, angles are in units of pi."""
+        if not isinstance(data, dict):
+            raise ValidationError("config must be a JSON object")
         unknown = set(data) - set(ExperimentConfig._JSON_FIELDS)
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
         kwargs: dict = {}
-        if "w_values" in data:
-            kwargs["w_values"] = tuple(float(w) for w in data["w_values"])
-        if "tau_over_pi" in data:
-            kwargs["tau"] = float(data["tau_over_pi"]) * math.pi
-        for name in ("n_realizations", "n_steps", "master_seed", "n_avg", "capacity"):
-            if name in data:
-                kwargs[name] = int(data[name])
-        for name in ("backend", "measurement_mode"):
-            if name in data:
-                kwargs[name] = str(data[name])
-        if "share_realizations_across_w" in data:
-            kwargs["share_realizations_across_w"] = bool(data["share_realizations_across_w"])
-        noise = data.get("noise")
-        if noise is not None:
-            known = {"t1", "t2", "single_qubit_gate_duration", "cz_duration"}
-            unknown = set(noise) - known
-            if unknown:
-                raise ValidationError(f"unknown noise fields: {sorted(unknown)}")
-            kwargs["noise"] = NoiseParams(
-                t1=tuple(float(x) for x in noise["t1"]),
-                t2=tuple(float(x) for x in noise["t2"]),
-                single_qubit_gate_duration=float(
-                    noise.get("single_qubit_gate_duration", 20e-9)),
-                cz_duration=float(noise.get("cz_duration", 40e-9)))
+        try:
+            if "w_values" in data:
+                kwargs["w_values"] = tuple(float(w) for w in data["w_values"])
+            if "tau_over_pi" in data:
+                kwargs["tau"] = float(data["tau_over_pi"]) * math.pi
+            for name in ("n_realizations", "n_steps", "master_seed", "n_avg", "capacity"):
+                if name in data:
+                    kwargs[name] = int(data[name])
+            for name in ("backend", "measurement_mode"):
+                if name in data:
+                    kwargs[name] = str(data[name])
+            if "share_realizations_across_w" in data:
+                kwargs["share_realizations_across_w"] = bool(data["share_realizations_across_w"])
+            noise = data.get("noise")
+            if noise is not None:
+                known = {"t1", "t2", "single_qubit_gate_duration", "cz_duration"}
+                unknown = set(noise) - known
+                if unknown:
+                    raise ValidationError(f"unknown noise fields: {sorted(unknown)}")
+                missing = sorted({"t1", "t2"} - set(noise))
+                if missing:
+                    raise ValidationError(f"noise block lacks {missing}")
+                kwargs["noise"] = NoiseParams(
+                    t1=tuple(float(x) for x in noise["t1"]),
+                    t2=tuple(float(x) for x in noise["t2"]),
+                    single_qubit_gate_duration=float(
+                        noise.get("single_qubit_gate_duration", 20e-9)),
+                    cz_duration=float(noise.get("cz_duration", 40e-9)))
+        except (TypeError, ValueError, OverflowError) as exc:  # e.g. "capacity": "x"
+            raise ValidationError(f"invalid config value: {exc}") from None
         return ExperimentConfig(**kwargs)
 
     def to_json_dict(self) -> dict:
@@ -309,30 +329,23 @@ def _execute(program: QuantumProgram, config: ExperimentConfig, shot_seed: int):
                                n_avg=config.n_avg, seed=shot_seed)
 
 
-def run_experiment(config: ExperimentConfig, rct: wavemem.RCT | None = None,
-                   qos: wavemem.QOSRegistry | None = None) -> ExperimentResult:
-    """Run the full disorder sweep.
+def paged_programs(config: ExperimentConfig, rct: wavemem.RCT | None = None,
+                   qos: wavemem.QOSRegistry | None = None):
+    """The sweep's program stream, paged through one waveform context.
 
-    For every w and realization, each Trotter step k = 0..N is built as its
-    own program, paged through the shared waveform context in canonical order
-    (w index, realization index, k), executed, and reduced to the imbalance.
-    Deterministic for a given master seed.
+    Samples each realization, then builds, scans and pages its Trotter-step
+    programs, in canonical order (w index, realization index, k), and yields
+    ``(w, i, r, k, program, report)``.  Deterministic for a given master seed.
     """
     rct = rct if rct is not None else wavemem.RCT(capacity=config.capacity)
     qos = qos if qos is not None else wavemem.QOSRegistry()
     evict_rng = np.random.default_rng(derive_seed(config.master_seed, 0xE, 0xE))
-    result = ExperimentResult(config=config, series={})
-
     for w_index, w in enumerate(config.w_values):
-        per_real: list[tuple] = []
-        realizations: list[DisorderRealization] = []
         for i in range(config.n_realizations):
             seed_index = 0 if config.share_realizations_across_w else w_index
             seed = derive_seed(config.master_seed, seed_index, i)
             r = sample_disorder(w, config.tau, config.n_steps,
                                 np.random.default_rng(seed), seed=seed)
-            realizations.append(r)
-            curve = []
             for k in range(config.n_steps + 1):
                 program = build_native_circuit(r, k)
                 wavemem.dgs_scan(program, qos)
@@ -341,24 +354,44 @@ def run_experiment(config: ExperimentConfig, rct: wavemem.RCT | None = None,
                 except CapacityExceeded as exc:
                     raise CapacityExceeded(
                         f"w={w:g} realization {i} (seed {r.seed}) k={k}: {exc}") from exc
-                result.page_reports.append((w, i, k, report))
-                result.total_loads += len(report.loaded)
-                result.total_hits += report.hits
-                record = _execute(program, config, shot_seed=derive_seed(seed, 0, k))
-                probs = record.probabilities()
-                curve.append(imbalance(probs["q0mZ"], probs["q1mZ"]))
-            per_real.append(tuple(curve))
+                yield w, i, r, k, program, report
+
+
+def run_experiment(config: ExperimentConfig, rct: wavemem.RCT | None = None,
+                   qos: wavemem.QOSRegistry | None = None) -> ExperimentResult:
+    """Run the full disorder sweep.
+
+    Every program of :func:`paged_programs` is executed and reduced to the
+    imbalance.  Deterministic for a given master seed.
+    """
+    result = ExperimentResult(config=config, series={})
+    realizations: list[DisorderRealization] = []
+    curves: list[list[float]] = []  # one per realization, in stream order
+    for w, i, r, k, program, report in paged_programs(config, rct, qos):
+        result.page_reports.append((w, i, k, report))
+        result.total_loads += len(report.loaded)
+        result.total_hits += report.hits
+        if k == 0:
+            realizations.append(r)
+            curves.append([])
+        record = _execute(program, config, shot_seed=derive_seed(r.seed, 0, k))
+        probs = record.probabilities()
+        curves[-1].append(imbalance(probs["q0mZ"], probs["q1mZ"]))
+
+    n = config.n_realizations
+    for w_index, w in enumerate(config.w_values):
+        per_real = tuple(tuple(curve) for curve in curves[w_index * n:(w_index + 1) * n])
         matrix = np.array(per_real)
         mean = matrix.mean(axis=0)
-        if config.n_realizations > 1:
-            stderr = matrix.std(axis=0, ddof=1) / math.sqrt(config.n_realizations)
+        if n > 1:
+            stderr = matrix.std(axis=0, ddof=1) / math.sqrt(n)
         else:
             stderr = np.zeros_like(mean)
         result.series[w] = ImbalanceSeries(
             w=w, mean=tuple(float(x) for x in mean),
             stderr=tuple(float(x) for x in stderr),
-            per_realization=tuple(per_real))
-        result.realizations[w] = realizations
+            per_realization=per_real)
+        result.realizations[w] = realizations[w_index * n:(w_index + 1) * n]
     return result
 
 

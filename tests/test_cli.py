@@ -187,6 +187,24 @@ class TestExperiment:
         assert run_cli("experiment", "--config", str(config), "--out", str(out),
                        "--golden", str(golden)) == 5
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda values: values["1.0"].pop(),
+        lambda values: values["1.0"].__setitem__(1, math.nan),
+        lambda values: values.pop("25.0"),
+        lambda values: values.__setitem__("3.0", values["1.0"]),
+    ], ids=["truncated", "nan", "missing-w", "extra-w"])
+    def test_malformed_golden_is_mismatch(self, tmp_path, corrupt):
+        config = small_config(tmp_path)
+        golden = tmp_path / "golden.json"
+        out = tmp_path / "out"
+        run_cli("experiment", "--config", str(config), "--out", str(out),
+                "--write-golden", str(golden))
+        body = json.loads(golden.read_text())
+        corrupt(body["values"])
+        golden.write_text(json.dumps(body))
+        assert run_cli("experiment", "--config", str(config), "--out", str(out),
+                       "--golden", str(golden)) == 5
+
     def test_golden_config_hash_guard(self, tmp_path):
         config = small_config(tmp_path)
         golden = tmp_path / "golden.json"
@@ -206,6 +224,66 @@ class TestExperiment:
     def test_missing_config_is_io_error(self, tmp_path):
         assert run_cli("experiment", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "out")) == 6
+
+
+def _program_file(tmp_path) -> Path:
+    path = tmp_path / "p.qasm"
+    path.write_text("rxy q0, 0, 0.5\nmeasure q0 -> m\n")
+    return path
+
+
+def _text_file(tmp_path, text, name="config.json") -> Path:
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+# (argv builder over tmp_path, documented exit code)
+INVALID_INPUTS = {
+    "capacity-flag-0": (lambda t: ["experiment", "--config", small_config(t),
+                                   "--capacity", "0"], 3),
+    "capacity-0": (lambda t: ["experiment", "--config", small_config(t, capacity=0)], 3),
+    "capacity-0-paging": (lambda t: ["paging-report", "--config",
+                                     small_config(t, capacity=0)], 3),
+    "n-avg-0-sampled": (lambda t: ["experiment", "--config", small_config(
+        t, measurement_mode="sampled", n_avg=0)], 3),
+    "n-steps-negative": (lambda t: ["experiment", "--config", small_config(t, n_steps=-1)], 3),
+    "tau-0": (lambda t: ["experiment", "--config", small_config(t, tau_over_pi=0.0)], 3),
+    "w-values-empty": (lambda t: ["experiment", "--config", small_config(t, w_values=[])], 3),
+    "w-values-nan": (lambda t: ["experiment", "--config", small_config(t, w_values=[math.nan])], 3),
+    "run-n-avg-0": (lambda t: ["run", _program_file(t), "--mode", "sampled",
+                               "--n-avg", "0"], 3),
+    "run-n-avg-negative": (lambda t: ["run", _program_file(t), "--mode", "sampled",
+                                      "--n-avg", "-1"], 3),
+    "malformed-config": (lambda t: ["experiment", "--config",
+                                    _text_file(t, '{"n_steps": 2,')], 2),
+    "malformed-config-paging": (lambda t: ["paging-report", "--config",
+                                           _text_file(t, "not json")], 2),
+    "non-numeric-capacity": (lambda t: ["experiment", "--config",
+                                        small_config(t, capacity="x")], 3),
+    "w-values-not-a-list": (lambda t: ["experiment", "--config", small_config(t, w_values=5)], 3),
+    "config-not-an-object": (lambda t: ["paging-report", "--config", _text_file(t, "5")], 3),
+    "golden-not-an-object": (lambda t: ["experiment", "--config", small_config(t), "--golden",
+                                        _text_file(t, "[1]", "golden.json")], 5),
+    "malformed-golden": (lambda t: ["experiment", "--config", small_config(t), "--golden",
+                                    _text_file(t, "{", "golden.json")], 2),
+    "noise-without-t1": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t2": [4e-6, 4e-6]})], 3),
+    "noise-without-t2": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t1": [2e-5, 2e-5]})], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_INPUTS))
+def test_invalid_input_exit_code_and_one_line_error(tmp_path, capsys, name):
+    build, expected = INVALID_INPUTS[name]
+    argv = [str(a) for a in build(tmp_path)]
+    if argv[0] in ("experiment", "paging-report"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestTrajectory:

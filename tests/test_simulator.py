@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoproc import simulator, workload
 from qcoproc.errors import (InvalidNoise, InvalidProgram, NotHermitian,
-                            NotNormalized)
+                            NotNormalized, ValidationError)
 from qcoproc.isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy,
                          parse_program, slot)
 from qcoproc.simulator import (BlochVector, DensityMatrix, MeasurementRecord,
@@ -180,6 +182,80 @@ class TestRunNoisy:
         a = run_noisy(p, noise, mode="sampled", n_avg=200, seed=5)
         b = run_noisy(p, noise, mode="sampled", n_avg=200, seed=5)
         assert a.registers == b.registers
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_noiseless_matches_ideal_on_random_programs(self, data):
+        p = data.draw(_native_programs())
+        ideal = run_ideal(p).registers
+        noisy = run_noisy(p, NoiseParams.noiseless(p.n_qubits)).registers
+        assert ideal.keys() == noisy.keys()
+        for reg in ideal:
+            assert abs(ideal[reg] - noisy[reg]) < 1e-10
+
+
+@st.composite
+def _native_programs(draw):
+    """Rxy, cZ and measurement slots on one or two qubits, then a final
+    measurement of every qubit.  Resets are left out: the ideal backend
+    projects where the noisy one traces out, so the two differ after a gate."""
+    n = draw(st.integers(1, 2))
+    angle = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 6))
+    slots = []
+    for j in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("rxy", "cz", "measure") if n == 2 else ("rxy", "measure")))
+        if kind == "cz":
+            slots.append(slot(CZ(0, 1)))
+        elif kind == "measure":
+            slots.append(slot(Measure(draw(st.integers(0, n - 1)), f"mid{j}")))
+        else:
+            qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+            slots.append(slot(*(Rxy(q, key(draw(angle), draw(angle))) for q in qubits)))
+    slots.append(slot(*(Measure(q, f"m{q}") for q in range(n))))
+    return QuantumProgram(n, tuple(slots))
+
+
+# Sampled bits for fixed programs and seeds, recorded before the two backends
+# were merged onto one slot loop; they pin the RNG draw order of both paths.
+_TERMINAL = ("reset q0\nreset q1\n{ rxy q0, 0.25, 0.6 | rxy q1, 0.5, 0.3 }\n"
+             "cz q0, q1\nrxy q1, 0.1, 0.7\n{ measure q0 -> a | measure q1 -> b }\n")
+_MID_CIRCUIT = ("reset q0\nreset q1\nrxy q0, 0.0, 0.5\n{ measure q0 -> a | rxy q1, 0.5, 0.4 }\n"
+                "cz q0, q1\nrxy q0, 0.3, 0.5\n{ measure q0 -> b | measure q1 -> c }\n")
+_PIN_NOISE = NoiseParams(t1=(2e-7, 3e-7), t2=(1e-7, 4e-7))
+
+
+class TestPinnedSamples:
+    @pytest.mark.parametrize("backend, text, seed, expected", [
+        ("ideal", _TERMINAL, 7, {
+            "a": [0, 1, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0],
+            "b": [1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1]}),
+        ("noisy", _TERMINAL, 5, {
+            "a": [1, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1],
+            "b": [1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1]}),
+        ("ideal", _MID_CIRCUIT, 7, {
+            "a": [0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0],
+            "b": [0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1],
+            "c": [0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0]}),
+        ("noisy", _MID_CIRCUIT, 5, {
+            "a": [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0],
+            "b": [0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 0],
+            "c": [0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 1]}),
+    ], ids=["ideal-terminal", "noisy-terminal", "ideal-per-shot", "noisy-per-shot"])
+    def test_registers(self, backend, text, seed, expected):
+        p = parse_program(text)
+        if backend == "ideal":
+            record = run_ideal(p, mode="sampled", n_avg=16, seed=seed)
+        else:
+            record = run_noisy(p, _PIN_NOISE, mode="sampled", n_avg=16, seed=seed)
+        assert record.registers == expected
+
+    @pytest.mark.parametrize("n_avg", [0, -1])
+    def test_nonpositive_shot_count_rejected(self, n_avg):
+        p = parse_program(_TERMINAL)
+        with pytest.raises(ValidationError):
+            run_ideal(p, mode="sampled", n_avg=n_avg, seed=1)
+        with pytest.raises(ValidationError):
+            run_noisy(p, _PIN_NOISE, mode="sampled", n_avg=n_avg, seed=1)
 
 
 class TestHamiltonian:
