@@ -42,6 +42,8 @@ def config_hash(config: workload.ExperimentConfig) -> str:
 def _realization_from_args(args) -> workload.DisorderRealization:
     tau = args.tau_over_pi * math.pi
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         r = workload.sample_disorder(args.w, tau, args.n_steps, rng, seed=args.seed)
     else:

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import isa
-from .errors import (DimensionMismatch, NonUnitarySlot, ParseError, SameQubit,
-                     UnsupportedGate, ValidationError)
+from .errors import DimensionMismatch, ParseError, SameQubit, UnsupportedGate, ValidationError
 from .isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot
 
 HALF_PI = math.pi / 2
@@ -319,25 +318,12 @@ def equivalence_check(U: np.ndarray, V: np.ndarray, tol: float = 1e-10) -> Equiv
                              equivalent=dist < tol, tolerance=tol)
 
 
-def source_gate_unitary(gate, n_qubits: int) -> np.ndarray:
-    """Full-space unitary of one source gate."""
-    if isinstance(gate, isa.NATIVE_KINDS):
-        return isa.instruction_unitary(gate, n_qubits)
-    U = np.eye(1 << n_qubits, dtype=complex)
-    for instr in _lower_gate(gate):
-        U = isa.instruction_unitary(instr, n_qubits) @ U
-    return U
-
-
 def source_program_unitary(program: SourceProgram | QuantumProgram) -> np.ndarray:
     """Whole-circuit unitary; raises NonUnitarySlot on measure/reset."""
-    U = np.eye(1 << program.n_qubits, dtype=complex)
-    for s in program.slots:
-        for gate in s.instructions:
-            if isinstance(gate, (Measure, Reset)):
-                raise NonUnitarySlot(f"{type(gate).__name__} has no unitary")
-            U = source_gate_unitary(gate, program.n_qubits) @ U
-    return U
+    n = program.n_qubits
+    return isa.ordered_product((isa.instruction_unitary(instr, n)
+                                for gate in program.instructions()
+                                for instr in _lower_gate(gate)), 1 << n)
 
 
 # --- pass pipeline and extended assembly -------------------------------------------

@@ -54,7 +54,7 @@ class InvalidProgram(QcoprocError):
     """A backend was given a program it cannot execute."""
 
 
-class InvalidNoise(QcoprocError):
+class InvalidNoise(ValidationError):
     """Noise parameters are unphysical (e.g. T2 > 2*T1)."""
 
 

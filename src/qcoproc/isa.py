@@ -3,7 +3,10 @@
 Conventions fixed here and shared by every other module:
 
 * Qubit 0 is the least significant bit of a basis-state index, so a gate U on
-  qubit 0 of a 2-qubit register embeds as kron(I, U).
+  qubit 0 of a 2-qubit register embeds as kron(I, U).  ``embed`` and
+  ``basis_bit`` are the only code that knows this layout; every other module
+  builds its operators and reads its qubit bits through them, and multiplies
+  operators in execution order with ``ordered_product``.
 * A rotation key (phi, gamma) means: rotate by gamma about the axis at azimuth
   phi in the xy plane.  phi is canonical in [0, 2*pi), gamma in (-2*pi, 2*pi]
   (the sign of gamma is kept because it scales the pulse amplitude).  Angles
@@ -44,6 +47,8 @@ class RotationKey:
     @staticmethod
     def make(phi: float, gamma: float) -> "RotationKey":
         """Canonicalize angles given in radians."""
+        if not (math.isfinite(phi) and math.isfinite(gamma)):
+            raise ValidationError(f"rotation angles must be finite, got ({phi}, {gamma})")
         g = _quantize(gamma / math.pi) % 4.0
         if g > 2.0:
             g -= 4.0
@@ -190,6 +195,12 @@ class QuantumProgram:
 # --- matrix semantics ---------------------------------------------------------
 
 
+_ONE = np.ones((1, 1), dtype=complex)
+_EYE2 = np.eye(2, dtype=complex)
+_ONE.setflags(write=False)
+_EYE2.setflags(write=False)
+
+
 def rxy_matrix(key: RotationKey) -> np.ndarray:
     """2x2 unitary of a gamma rotation about the xy-plane axis at azimuth phi."""
     c = math.cos(key.gamma / 2)
@@ -203,35 +214,40 @@ def cz_matrix() -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
-def _embed_1q(U: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
+def embed(ops: dict, n_qubits: int) -> np.ndarray:
+    """Tensor product of ``{qubit: 2x2 matrix}`` with identity on every other qubit."""
+    out = _ONE
     for q in range(n_qubits - 1, -1, -1):
-        out = np.kron(out, U if q == qubit else np.eye(2, dtype=complex))
+        out = np.kron(out, ops.get(q, _EYE2))
     return out
 
 
-def _embed_cz(qa: int, qb: int, n_qubits: int) -> np.ndarray:
-    dim = 1 << n_qubits
-    diag = np.ones(dim, dtype=complex)
-    for idx in range(dim):
-        if (idx >> qa) & 1 and (idx >> qb) & 1:
-            diag[idx] = -1.0
-    return np.diag(diag)
+def basis_bit(qubit: int, n_qubits: int) -> np.ndarray:
+    """The value (0 or 1) of ``qubit`` in every basis-state index 0..2**n - 1."""
+    return (np.arange(1 << n_qubits) >> qubit) & 1
+
+
+def ordered_product(matrices, dim: int) -> np.ndarray:
+    """Product of ``dim`` x ``dim`` matrices; the first one is applied first."""
+    U = np.eye(dim, dtype=complex)
+    for M in matrices:
+        U = M @ U
+    return U
 
 
 def instruction_unitary(instr, n_qubits: int) -> np.ndarray:
     if isinstance(instr, Rxy):
-        return _embed_1q(rxy_matrix(instr.key), instr.qubit, n_qubits)
+        return embed({instr.qubit: rxy_matrix(instr.key)}, n_qubits)
     if isinstance(instr, CZ):
-        return _embed_cz(instr.qa, instr.qb, n_qubits)
+        both = basis_bit(instr.qa, n_qubits) & basis_bit(instr.qb, n_qubits)
+        return np.diag((1 - 2 * both).astype(complex))
     raise NonUnitarySlot(f"{type(instr).__name__} has no unitary")
 
 
 @lru_cache(maxsize=16384)
 def _slot_unitary_cached(s: TimeSlot, n_qubits: int) -> np.ndarray:
-    U = np.eye(1 << n_qubits, dtype=complex)
-    for instr in s.instructions:
-        U = instruction_unitary(instr, n_qubits) @ U
+    U = ordered_product((instruction_unitary(i, n_qubits) for i in s.instructions),
+                        1 << n_qubits)
     U.setflags(write=False)
     return U
 
@@ -247,10 +263,8 @@ def program_segment_unitary(program: QuantumProgram, start: int = 0,
                             stop: int | None = None) -> np.ndarray:
     """Ordered product of slot unitaries; the earliest slot is applied first."""
     stop = len(program.slots) if stop is None else stop
-    U = np.eye(1 << program.n_qubits, dtype=complex)
-    for s in program.slots[start:stop]:
-        U = slot_unitary(s, program.n_qubits) @ U
-    return U
+    return ordered_product((slot_unitary(s, program.n_qubits)
+                            for s in program.slots[start:stop]), 1 << program.n_qubits)
 
 
 # --- assembly text format ------------------------------------------------------
@@ -273,9 +287,12 @@ def _parse_qubit(tok: str, line: int) -> int:
 
 def _parse_angle(tok: str, line: int) -> float:
     try:
-        return float(tok.strip())
+        angle = float(tok.strip())
     except ValueError:
-        raise ParseError(f"expected angle in units of pi, got {tok.strip()!r}", line) from None
+        angle = math.nan  # reported below, as inf and nan are
+    if not math.isfinite(angle):
+        raise ParseError(f"expected finite angle in units of pi, got {tok.strip()!r}", line)
+    return angle
 
 
 def _parse_statement(text: str, line: int):

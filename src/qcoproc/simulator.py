@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (InvalidNoise, InvalidProgram, NotHermitian, NotNormalized,
                      ValidationError)
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  _embed_1q, rxy_matrix, slot_unitary)
+                  basis_bit, embed, rxy_matrix, slot_unitary)
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -55,8 +55,7 @@ class StateVector:
         return StateVector(n_qubits, amps)
 
     def prob_one(self, qubit: int) -> float:
-        idx = np.arange(len(self.amplitudes))
-        mask = (idx >> qubit) & 1 == 1
+        mask = basis_bit(qubit, self.n_qubits) == 1
         return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
 
     def evolve(self, U: np.ndarray) -> None:
@@ -64,8 +63,7 @@ class StateVector:
 
     def project(self, qubit: int, outcome: int, what: str = "measurement") -> None:
         """Collapse onto ``outcome`` of ``qubit``; an impossible outcome raises."""
-        idx = np.arange(len(self.amplitudes))
-        keep = ((idx >> qubit) & 1) == outcome
+        keep = basis_bit(qubit, self.n_qubits) == outcome
         prob = float(np.sum(np.abs(self.amplitudes[keep]) ** 2))
         if prob < 1e-12:
             raise InvalidProgram(f"{what} outcome {outcome} on q{qubit} has probability {prob:.3e}")
@@ -112,8 +110,7 @@ class DensityMatrix:
 
     def prob_one(self, qubit: int) -> float:
         diag = np.real(np.diag(self.entries))
-        idx = np.arange(len(diag))
-        return float(np.sum(diag[(idx >> qubit) & 1 == 1]))
+        return float(np.sum(diag[basis_bit(qubit, self.n_qubits) == 1]))
 
     def evolve(self, U: np.ndarray) -> None:
         self.entries = U @ self.entries @ U.conj().T
@@ -123,7 +120,7 @@ class DensityMatrix:
 
     def project(self, qubit: int, outcome: int) -> None:
         """Collapse onto ``outcome`` of ``qubit``; an impossible outcome raises."""
-        keep = ((np.arange(len(self.entries)) >> qubit) & 1) == outcome
+        keep = basis_bit(qubit, self.n_qubits) == outcome
         P = np.diag(keep.astype(complex))
         projected = P @ self.entries @ P
         prob = float(np.trace(projected).real)
@@ -134,7 +131,7 @@ class DensityMatrix:
 
     def reset(self, qubit: int) -> None:
         """Trace the qubit out and re-prepare it in |0>."""
-        self.apply_channel([_embed_1q(K, qubit, self.n_qubits) for K in _RESET_KRAUS])
+        self.apply_channel([embed({qubit: K}, self.n_qubits) for K in _RESET_KRAUS])
 
     def basis_probabilities(self) -> np.ndarray:
         diag = np.real(np.diag(self.entries))
@@ -280,6 +277,8 @@ def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
         raise InvalidProgram(f"unknown measurement mode {mode!r}")
     if mode == "sampled" and n_avg < 1:
         raise ValidationError(f"n_avg must be >= 1, got {n_avg}")
+    if mode == "sampled" and seed is not None and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if mode == "exact" or _measures_are_terminal(program):
         state = ground(program.n_qubits)
         registers: dict = {}
@@ -290,7 +289,7 @@ def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
         if mode == "exact":
             return MeasurementRecord(mode="exact", registers=registers)
         outcomes = np.random.default_rng(seed).choice(len(probs), size=n_avg, p=probs)
-        registers = {m.register: ((outcomes >> m.qubit) & 1).tolist()
+        registers = {m.register: basis_bit(m.qubit, program.n_qubits)[outcomes].tolist()
                      for m in program.instructions() if isinstance(m, Measure)}
     else:
         rng = np.random.default_rng(seed)
@@ -337,14 +336,14 @@ def _noise_channels(noise: NoiseParams, qubit: int, duration: float,
     if p > 0.0:
         k0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
         k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
-        channels.append([_embed_1q(k0, qubit, n_qubits), _embed_1q(k1, qubit, n_qubits)])
+        channels.append([embed({qubit: k0}, n_qubits), embed({qubit: k1}, n_qubits)])
     # pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1)
     rate = 1.0 / noise.t2[qubit] - 0.5 / noise.t1[qubit]
     flip = (1.0 - math.exp(-duration * rate)) / 2.0 if rate > 0 else 0.0
     if flip > 0.0:
         ki = math.sqrt(1 - flip) * np.eye(2, dtype=complex)
         kz = math.sqrt(flip) * _PAULI_Z
-        channels.append([_embed_1q(ki, qubit, n_qubits), _embed_1q(kz, qubit, n_qubits)])
+        channels.append([embed({qubit: ki}, n_qubits), embed({qubit: kz}, n_qubits)])
     return channels
 
 
@@ -358,24 +357,15 @@ def _apply_slot_noise(rho: DensityMatrix, s: TimeSlot, noise: NoiseParams) -> No
 # --- spin-chain Hamiltonian and exact evolution -------------------------------------
 
 
-def _two_qubit_pauli(op0: np.ndarray | None, op1: np.ndarray | None) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    return np.kron(op1 if op1 is not None else eye, op0 if op0 is not None else eye)
-
-
 def hamiltonian_matrix(w: float, h0x: float, h0z: float, h1x: float, h1z: float) -> np.ndarray:
     """Two-spin nearest-neighbor Heisenberg exchange plus disordered x/z fields.
 
     H = sigma0.sigma1 + w*(h0x X0 + h1x X1 + h0z Z0 + h1z Z1), qubit 0 = LSB.
     """
-    H = (_two_qubit_pauli(_PAULI_X, _PAULI_X)
-         + _two_qubit_pauli(_PAULI_Y, _PAULI_Y)
-         + _two_qubit_pauli(_PAULI_Z, _PAULI_Z))
-    H = H + w * (h0x * _two_qubit_pauli(_PAULI_X, None)
-                 + h1x * _two_qubit_pauli(None, _PAULI_X)
-                 + h0z * _two_qubit_pauli(_PAULI_Z, None)
-                 + h1z * _two_qubit_pauli(None, _PAULI_Z))
-    return H
+    X, Y, Z = _PAULI_X, _PAULI_Y, _PAULI_Z
+    H = embed({0: X, 1: X}, 2) + embed({0: Y, 1: Y}, 2) + embed({0: Z, 1: Z}, 2)
+    return H + w * (h0x * embed({0: X}, 2) + h1x * embed({1: X}, 2)
+                    + h0z * embed({0: Z}, 2) + h1z * embed({1: Z}, 2))
 
 
 def evolution_operator(H: np.ndarray, t: float) -> np.ndarray:

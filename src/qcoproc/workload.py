@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import compiler, simulator, wavemem
+from . import simulator, wavemem
 from .compiler import CNOT, CRx, Rx, Rz, SourceProgram
 from .errors import CapacityExceeded, OutOfRange, StepOutOfRange, ValidationError
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  program_segment_unitary, slot)
+                  embed, program_segment_unitary, rxy_matrix, slot)
 from .simulator import NoiseParams, StateVector, hamiltonian_matrix
 
 HALF_PI = math.pi / 2
@@ -139,8 +139,8 @@ def trotter_interval_unitary(r: DisorderRealization) -> np.ndarray:
     """
     interval = QuantumProgram(n_qubits=2, slots=tuple(_interval_slots(r)))
     U = program_segment_unitary(interval)
-    v = compiler.source_gate_unitary(Rx(0, -HALF_PI), 1)  # 2x2 Rx(-pi/2)
-    V = np.kron(v, v)
+    v = rxy_matrix(RotationKey.make(0.0, -HALF_PI))  # Rx(-pi/2)
+    V = embed({0: v, 1: v}, 2)
     return V.conj().T @ U @ V
 
 
@@ -202,6 +202,8 @@ class ExperimentConfig:
             raise ValidationError("w_values must name at least one disorder strength")
         if not all(math.isfinite(w) for w in self.w_values):
             raise ValidationError(f"w_values must be finite, got {list(self.w_values)}")
+        if self.master_seed < 0:
+            raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_realizations < 1:
             raise ValidationError("n_realizations must be >= 1")
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -237,12 +239,20 @@ class ExperimentConfig:
                 kwargs["tau"] = float(data["tau_over_pi"]) * math.pi
             for name in ("n_realizations", "n_steps", "master_seed", "n_avg", "capacity"):
                 if name in data:
-                    kwargs[name] = int(data[name])
+                    if type(data[name]) is not int:  # rejects 2.7, "2" and true
+                        raise ValidationError(
+                            f"{name} must be an integer, got {json.dumps(data[name])}")
+                    kwargs[name] = data[name]
             for name in ("backend", "measurement_mode"):
                 if name in data:
                     kwargs[name] = str(data[name])
             if "share_realizations_across_w" in data:
-                kwargs["share_realizations_across_w"] = bool(data["share_realizations_across_w"])
+                flag = data["share_realizations_across_w"]
+                if not isinstance(flag, bool):
+                    raise ValidationError(
+                        f"share_realizations_across_w must be true or false, "
+                        f"got {json.dumps(flag)}")
+                kwargs["share_realizations_across_w"] = flag
             noise = data.get("noise")
             if noise is not None:
                 known = {"t1", "t2", "single_qubit_gate_duration", "cz_duration"}

@@ -271,6 +271,33 @@ INVALID_INPUTS = {
         t, backend="noisy", noise={"t2": [4e-6, 4e-6]})], 3),
     "noise-without-t2": (lambda t: ["experiment", "--config", small_config(
         t, backend="noisy", noise={"t1": [2e-5, 2e-5]})], 3),
+    # unphysical noise (T2 > 2 T1) is a validation error
+    "noise-t2-above-2t1": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t1": [1e-6, 1e-6], "t2": [5e-6, 5e-6]})], 3),
+    "run-t2-above-2t1": (lambda t: ["run", _program_file(t), "--backend", "noisy",
+                                    "--t1", "1e-6", "--t2", "5e-6"], 3),
+    # config values are taken as typed in the JSON, never converted
+    "share-flag-string": (lambda t: ["experiment", "--config", small_config(
+        t, share_realizations_across_w="false")], 3),
+    "capacity-float": (lambda t: ["experiment", "--config", small_config(t, capacity=2.7)], 3),
+    "n-realizations-float": (lambda t: ["experiment", "--config",
+                                        small_config(t, n_realizations=1.5)], 3),
+    "n-steps-bool": (lambda t: ["experiment", "--config", small_config(t, n_steps=True)], 3),
+    # negative seeds
+    "master-seed-negative": (lambda t: ["experiment", "--config",
+                                        small_config(t, master_seed=-1)], 3),
+    "master-seed-negative-paging": (lambda t: ["paging-report", "--config",
+                                               small_config(t, master_seed=-1)], 3),
+    "run-sampled-seed-negative": (lambda t: ["run", _program_file(t), "--mode", "sampled",
+                                             "--seed", "-1"], 3),
+    "gen-seed-negative": (lambda t: ["gen", "--w", "1", "--k", "1", "--seed", "-1"], 3),
+    # non-finite angles: a parse error in program text, a validation error elsewhere
+    "run-angle-inf": (lambda t: ["run", _text_file(
+        t, "rxy q0, 0, inf\nmeasure q0 -> a\n", "p.qasm")], 2),
+    "compile-angle-nan": (lambda t: ["compile", _text_file(t, "rx q0, nan\n", "p.src")], 2),
+    "gen-w-nan": (lambda t: ["gen", "--w", "nan", "--k", "1", "--seed", "3"], 3),
+    "trajectory-phi-nan": (lambda t: ["trajectory", "--phi-over-pi", "nan",
+                                      "--gamma-over-pi", "1"], 3),
 }
 
 
