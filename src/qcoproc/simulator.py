@@ -1,4 +1,5 @@
-"""Execution backends for native programs plus the exact-evolution oracle.
+"""Execution backends for native programs, the sweep engine, and the
+exact-evolution oracle.
 
 Both backends run through one slot loop, ``_run``, which owns the exact,
 terminal-sampled and per-shot branches and the measurement RNG.  What differs
@@ -14,19 +15,27 @@ slot duration).
 Measurement records either exact probabilities (no collapse, the default for
 the deterministic experiment pipeline) or per-shot sampled bits with collapse.
 Sampling is vectorized over shots when every measurement is terminal.
+
+``sweep_probabilities`` is the engine behind the disorder sweep: it builds the
+map of a head, a repeated interval and a tail of unitary slots once, and steps
+it k = 0..N times.  The ideal engine multiplies slot unitaries; the noisy one
+multiplies 16x16 Liouville superoperators, vec(K rho K^H) = (K kron conj(K))
+vec(rho) for a row-major vec, each a slot's T1/T2 decay map times
+kron(U, conj(U)).  ``run_ideal`` and ``run_noisy`` stay the per-program oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (InvalidNoise, InvalidProgram, NotHermitian, NotNormalized,
                      ValidationError)
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  basis_bit, embed, rxy_matrix, slot_unitary)
+                  basis_bit, embed, ordered_product, rxy_matrix, slot_unitary)
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -34,6 +43,16 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # Kraus pair that traces a qubit out and re-prepares it in |0>
 _RESET_KRAUS = (np.array([[1, 0], [0, 0]], dtype=complex),
                 np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def _checked_probabilities(probs: np.ndarray, what: str) -> np.ndarray:
+    """Basis probabilities clipped at 0 and renormalized; raises if their sum
+    (the state norm or trace) drifted from 1 beyond 1e-10."""
+    total = float(np.sum(probs))
+    if abs(total - 1.0) > 1e-10:
+        raise InvalidProgram(f"{what} drifted to {total}")
+    probs = probs.clip(min=0.0)
+    return probs / probs.sum()
 
 
 @dataclass
@@ -74,11 +93,7 @@ class StateVector:
         self.project(qubit, 0, what="reset")
 
     def basis_probabilities(self) -> np.ndarray:
-        probs = np.abs(self.amplitudes) ** 2
-        norm = float(np.sum(probs))
-        if abs(norm - 1.0) > 1e-10:
-            raise InvalidProgram(f"state norm drifted to {norm}")
-        return probs / probs.sum()
+        return _checked_probabilities(np.abs(self.amplitudes) ** 2, "state norm")
 
 
 @dataclass
@@ -109,8 +124,9 @@ class DensityMatrix:
             raise ValidationError("density matrix has a significantly negative eigenvalue")
 
     def prob_one(self, qubit: int) -> float:
+        """P(|1>) of ``qubit``, clipped to [0, 1] against rounding."""
         diag = np.real(np.diag(self.entries))
-        return float(np.sum(diag[basis_bit(qubit, self.n_qubits) == 1]))
+        return min(1.0, max(0.0, float(np.sum(diag[basis_bit(qubit, self.n_qubits) == 1]))))
 
     def evolve(self, U: np.ndarray) -> None:
         self.entries = U @ self.entries @ U.conj().T
@@ -134,11 +150,7 @@ class DensityMatrix:
         self.apply_channel([embed({qubit: K}, self.n_qubits) for K in _RESET_KRAUS])
 
     def basis_probabilities(self) -> np.ndarray:
-        diag = np.real(np.diag(self.entries))
-        if abs(float(np.sum(diag)) - 1.0) > 1e-10:
-            raise InvalidProgram(f"density matrix trace drifted to {np.sum(diag)}")
-        probs = diag.clip(min=0.0)
-        return probs / probs.sum()
+        return _checked_probabilities(np.real(np.diag(self.entries)), "density matrix trace")
 
 
 @dataclass(frozen=True)
@@ -151,13 +163,18 @@ class NoiseParams:
     cz_duration: float = 40e-9
 
     def __post_init__(self):
-        if self.single_qubit_gate_duration <= 0 or self.cz_duration <= 0:
-            raise InvalidNoise("gate durations must be positive")
+        # tuples keep the parameters hashable: noise channels are cached per NoiseParams
+        object.__setattr__(self, "t1", tuple(self.t1))
+        object.__setattr__(self, "t2", tuple(self.t2))
+        # "not x > 0" also rejects NaN, which every comparison lets through
+        if not (self.single_qubit_gate_duration > 0 and self.cz_duration > 0):
+            raise InvalidNoise("gate durations must be positive numbers, got "
+                               f"{self.single_qubit_gate_duration} and {self.cz_duration}")
         if len(self.t1) != len(self.t2):
             raise InvalidNoise("t1 and t2 must cover the same qubits")
         for q, (t1, t2) in enumerate(zip(self.t1, self.t2)):
-            if t1 <= 0 or t2 <= 0:
-                raise InvalidNoise(f"q{q}: T1 and T2 must be positive")
+            if not (t1 > 0 and t2 > 0):
+                raise InvalidNoise(f"q{q}: T1 and T2 must be positive numbers, got {t1} and {t2}")
             if t2 > 2 * t1 + 1e-18:
                 raise InvalidNoise(f"q{q}: T2 = {t2} exceeds 2*T1 = {2 * t1}")
 
@@ -251,9 +268,7 @@ def run_noisy(program: QuantumProgram, noise: NoiseParams, mode: str = "exact",
               check_invariants: bool = False) -> MeasurementRecord:
     """Execute on the density-matrix backend with T1/T2 decay after every slot."""
     _validate_program(program)
-    if len(noise.t1) < program.n_qubits:
-        raise InvalidNoise(f"noise parameters cover {len(noise.t1)} qubits, "
-                           f"program uses {program.n_qubits}")
+    _check_noise_covers(noise, program.n_qubits)
 
     def after_slot(rho: DensityMatrix, s: TimeSlot) -> None:
         _apply_slot_noise(rho, s, noise)
@@ -327,24 +342,36 @@ def _apply_slot(state: StateVector | DensityMatrix, s: TimeSlot, registers: dict
 # --- noise channels ----------------------------------------------------------------
 
 
+def _check_noise_covers(noise: NoiseParams, n_qubits: int) -> None:
+    if len(noise.t1) < n_qubits:
+        raise InvalidNoise(f"noise parameters cover {len(noise.t1)} qubits, "
+                           f"program uses {n_qubits}")
+
+
+@lru_cache(maxsize=256)
 def _noise_channels(noise: NoiseParams, qubit: int, duration: float,
-                    n_qubits: int) -> list[list[np.ndarray]]:
+                    n_qubits: int) -> tuple:
+    """Kraus pairs of ``qubit``'s T1 then T2 decay over ``duration``, embedded
+    in ``n_qubits``; cached, so the operators are read-only."""
     if duration <= 0.0:
-        return []
+        return ()
     channels = []
     p = 1.0 - math.exp(-duration / noise.t1[qubit])
     if p > 0.0:
         k0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
         k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
-        channels.append([embed({qubit: k0}, n_qubits), embed({qubit: k1}, n_qubits)])
+        channels.append((k0, k1))
     # pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1)
     rate = 1.0 / noise.t2[qubit] - 0.5 / noise.t1[qubit]
     flip = (1.0 - math.exp(-duration * rate)) / 2.0 if rate > 0 else 0.0
     if flip > 0.0:
-        ki = math.sqrt(1 - flip) * np.eye(2, dtype=complex)
-        kz = math.sqrt(flip) * _PAULI_Z
-        channels.append([embed({qubit: ki}, n_qubits), embed({qubit: kz}, n_qubits)])
-    return channels
+        channels.append((math.sqrt(1 - flip) * np.eye(2, dtype=complex),
+                         math.sqrt(flip) * _PAULI_Z))
+    embedded = tuple(tuple(embed({qubit: K}, n_qubits) for K in pair) for pair in channels)
+    for pair in embedded:
+        for K in pair:
+            K.setflags(write=False)
+    return embedded
 
 
 def _apply_slot_noise(rho: DensityMatrix, s: TimeSlot, noise: NoiseParams) -> None:
@@ -352,6 +379,70 @@ def _apply_slot_noise(rho: DensityMatrix, s: TimeSlot, noise: NoiseParams) -> No
     for q in range(rho.n_qubits):
         for channel in _noise_channels(noise, q, duration, rho.n_qubits):
             rho.apply_channel(channel)
+
+
+# --- sweep engine ---------------------------------------------------------------------
+
+
+def _liouville(kraus_ops) -> np.ndarray:
+    """Superoperator of rho -> sum K rho K^H on a row-major vec(rho)."""
+    return sum(np.kron(K, K.conj()) for K in kraus_ops)
+
+
+def _decay_map(noise: NoiseParams, duration: float, n_qubits: int) -> np.ndarray:
+    """Superoperator of ``_apply_slot_noise`` for a slot of ``duration``."""
+    return ordered_product((_liouville(channel) for q in range(n_qubits)
+                            for channel in _noise_channels(noise, q, duration, n_qubits)),
+                           1 << (2 * n_qubits))
+
+
+def sweep_probabilities(head, interval, tail, n_steps: int, n_qubits: int,
+                        noise: NoiseParams | None = None) -> np.ndarray:
+    """Basis probabilities at measurement of head + k * interval + tail,
+    started from |0...0>, for k = 0..n_steps; one row per k.
+
+    The slots must be unitary (a reset of the |0...0> start is the identity and
+    is left to the caller).  Without ``noise`` the state is a vector stepped by
+    the interval's unitary; with it, a row-major vec(rho) stepped by the
+    interval's superoperator, each slot's map being its T1/T2 decay times
+    kron(U, conj(U)), as ``run_noisy`` applies them.  Each slot map is built
+    once per call.
+    """
+    dim = 1 << n_qubits
+    if noise is None:
+        size = dim
+
+        def slot_map(s):
+            return slot_unitary(s, n_qubits)
+
+        def read(psi):
+            return _checked_probabilities(np.abs(psi) ** 2, "state norm")
+    else:
+        _check_noise_covers(noise, n_qubits)
+        size = dim * dim
+        decay: dict = {}
+
+        def slot_map(s):
+            duration = noise.slot_duration(s)
+            if duration not in decay:
+                decay[duration] = _decay_map(noise, duration, n_qubits)
+            return decay[duration] @ _liouville([slot_unitary(s, n_qubits)])
+
+        def read(vec):  # the diagonal of rho
+            return _checked_probabilities(vec[::dim + 1].real, "density matrix trace")
+
+    def product(slots):
+        return ordered_product(map(slot_map, slots), size)
+
+    state = np.zeros(size, dtype=complex)
+    state[0] = 1.0
+    state = product(head) @ state
+    step, back = product(interval), product(tail)
+    out = np.empty((n_steps + 1, dim))
+    for k in range(n_steps + 1):
+        out[k] = read(back @ state)
+        state = step @ state
+    return out
 
 
 # --- spin-chain Hamiltonian and exact evolution -------------------------------------

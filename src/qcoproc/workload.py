@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import simulator, wavemem
 from .compiler import CNOT, CRx, Rx, Rz, SourceProgram
 from .errors import CapacityExceeded, OutOfRange, StepOutOfRange, ValidationError
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  embed, program_segment_unitary, rxy_matrix, slot)
+                  basis_bit, embed, program_segment_unitary, rxy_matrix, slot)
 from .simulator import NoiseParams, StateVector, hamiltonian_matrix
 
 HALF_PI = math.pi / 2
@@ -95,11 +96,23 @@ def build_source_circuit(r: DisorderRealization, k: int) -> SourceProgram:
     return SourceProgram(n_qubits=2, slots=tuple(slots))
 
 
-def _interval_slots(r: DisorderRealization) -> list[TimeSlot]:
+# The fixed slots of every native circuit: resets, the prologue that rotates
+# the prepared state into the working frame, the epilogue that rotates back,
+# and the parallel measurement.
+_RESETS = (slot(Reset(0)), slot(Reset(1)))
+_PROLOGUE = slot(Rxy(0, RotationKey.make(0.0, HALF_PI)), Rxy(1, RotationKey.make(0.0, -HALF_PI)))
+_EPILOGUE = slot(Rxy(0, RotationKey.make(0.0, HALF_PI)), Rxy(1, RotationKey.make(0.0, HALF_PI)))
+_MEASURE = slot(Measure(0, "q0mZ"), Measure(1, "q1mZ"))
+
+
+# The sweep asks for one realization's interval N + 2 times in a row, so a few
+# entries suffice; a larger cache only keeps finished realizations alive.
+@lru_cache(maxsize=4)
+def _interval_slots(r: DisorderRealization) -> tuple[TimeSlot, ...]:
     """One native evolution interval: 10 single-qubit rotations and 4 cZ."""
     w, tau = r.w, r.tau
     key = RotationKey.make
-    return [
+    return (
         slot(Rxy(0, key(HALF_PI, 2 * w * r.h0y * tau)), Rxy(1, key(HALF_PI, -HALF_PI))),
         slot(CZ(1, 0)),
         slot(Rxy(1, key(HALF_PI, -HALF_PI))),
@@ -111,7 +124,7 @@ def _interval_slots(r: DisorderRealization) -> list[TimeSlot]:
         slot(CZ(1, 0)),
         slot(Rxy(1, key(HALF_PI, HALF_PI + 2 * w * r.h1y * tau))),
         slot(Rxy(0, key(0.0, 2 * w * r.h0x * tau)), Rxy(1, key(0.0, 2 * w * r.h1x * tau))),
-    ]
+    )
 
 
 def build_native_circuit(r: DisorderRealization, k: int) -> QuantumProgram:
@@ -121,14 +134,8 @@ def build_native_circuit(r: DisorderRealization, k: int) -> QuantumProgram:
     is 10 Rxy + 4 cZ, the epilogue rotates back before parallel measurement.
     """
     _check_step(r, k)
-    key = RotationKey.make
-    slots = [slot(Reset(0)), slot(Reset(1)),
-             slot(Rxy(0, key(0.0, HALF_PI)), Rxy(1, key(0.0, -HALF_PI)))]
-    for _ in range(k):
-        slots.extend(_interval_slots(r))
-    slots.append(slot(Rxy(0, key(0.0, HALF_PI)), Rxy(1, key(0.0, HALF_PI))))
-    slots.append(slot(Measure(0, "q0mZ"), Measure(1, "q1mZ")))
-    return QuantumProgram(n_qubits=2, slots=tuple(slots))
+    slots = _RESETS + (_PROLOGUE,) + _interval_slots(r) * k + (_EPILOGUE, _MEASURE)
+    return QuantumProgram(n_qubits=2, slots=slots)
 
 
 def trotter_interval_unitary(r: DisorderRealization) -> np.ndarray:
@@ -137,7 +144,7 @@ def trotter_interval_unitary(r: DisorderRealization) -> np.ndarray:
     Comparable (up to O(tau^2) Trotter error and global phase) to
     exp(-i H tau) with H = hamiltonian_matrix(w, h0x, h0y, h1x, h1y).
     """
-    interval = QuantumProgram(n_qubits=2, slots=tuple(_interval_slots(r)))
+    interval = QuantumProgram(n_qubits=2, slots=_interval_slots(r))
     U = program_segment_unitary(interval)
     v = rxy_matrix(RotationKey.make(0.0, -HALF_PI))  # Rx(-pi/2)
     V = embed({0: v, 1: v}, 2)
@@ -234,9 +241,10 @@ class ExperimentConfig:
         kwargs: dict = {}
         try:
             if "w_values" in data:
-                kwargs["w_values"] = tuple(float(w) for w in data["w_values"])
+                kwargs["w_values"] = tuple(_json_number("each w_values entry", w)
+                                           for w in data["w_values"])
             if "tau_over_pi" in data:
-                kwargs["tau"] = float(data["tau_over_pi"]) * math.pi
+                kwargs["tau"] = _json_number("tau_over_pi", data["tau_over_pi"]) * math.pi
             for name in ("n_realizations", "n_steps", "master_seed", "n_avg", "capacity"):
                 if name in data:
                     if type(data[name]) is not int:  # rejects 2.7, "2" and true
@@ -263,11 +271,12 @@ class ExperimentConfig:
                 if missing:
                     raise ValidationError(f"noise block lacks {missing}")
                 kwargs["noise"] = NoiseParams(
-                    t1=tuple(float(x) for x in noise["t1"]),
-                    t2=tuple(float(x) for x in noise["t2"]),
-                    single_qubit_gate_duration=float(
+                    t1=tuple(_json_number("each t1 entry", x) for x in noise["t1"]),
+                    t2=tuple(_json_number("each t2 entry", x) for x in noise["t2"]),
+                    single_qubit_gate_duration=_json_number(
+                        "single_qubit_gate_duration",
                         noise.get("single_qubit_gate_duration", 20e-9)),
-                    cz_duration=float(noise.get("cz_duration", 40e-9)))
+                    cz_duration=_json_number("cz_duration", noise.get("cz_duration", 40e-9)))
         except (TypeError, ValueError, OverflowError) as exc:  # e.g. "capacity": "x"
             raise ValidationError(f"invalid config value: {exc}") from None
         return ExperimentConfig(**kwargs)
@@ -292,6 +301,13 @@ class ExperimentConfig:
                 "cz_duration": self.noise.cz_duration,
             }
         return body
+
+
+def _json_number(name: str, value) -> float:
+    """A JSON number (not a string or true/false) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
 
 
 def derive_seed(master_seed: int, w_index: int, realization_index: int) -> int:
@@ -330,13 +346,26 @@ class ExperimentResult:
                 "capacity": self.config.capacity}
 
 
-def _execute(program: QuantumProgram, config: ExperimentConfig, shot_seed: int):
-    if config.backend == "ideal":
-        return simulator.run_ideal(program, mode=config.measurement_mode,
-                                   n_avg=config.n_avg, seed=shot_seed)
-    noise = config.noise if config.noise is not None else NoiseParams.octobox_defaults()
-    return simulator.run_noisy(program, noise, mode=config.measurement_mode,
-                               n_avg=config.n_avg, seed=shot_seed)
+def _imbalance_curve(r: DisorderRealization, config: ExperimentConfig,
+                     noise: NoiseParams | None) -> list[float]:
+    """I(k) for k = 0..N of one realization, from its interval map stepped N times.
+
+    Equals running every ``build_native_circuit(r, k)`` on ``run_ideal`` (no
+    ``noise``) or ``run_noisy``: the resets of the |00> start are identities,
+    and sampled mode draws the same shots from the same seeds.
+    """
+    probs = simulator.sweep_probabilities((_PROLOGUE,), _interval_slots(r), (_EPILOGUE,),
+                                          r.n_steps, 2, noise)
+    bits = np.array([basis_bit(0, 2), basis_bit(1, 2)])
+    curve = []
+    for k, p in enumerate(probs):
+        if config.measurement_mode == "sampled":
+            rng = np.random.default_rng(derive_seed(r.seed, 0, k))
+            p0, p1 = bits[:, rng.choice(4, size=config.n_avg, p=p)].mean(axis=1)
+        else:
+            p0, p1 = np.clip(bits @ p, 0.0, 1.0)
+        curve.append(imbalance(float(p0), float(p1)))
+    return curve
 
 
 def paged_programs(config: ExperimentConfig, rct: wavemem.RCT | None = None,
@@ -371,22 +400,24 @@ def run_experiment(config: ExperimentConfig, rct: wavemem.RCT | None = None,
                    qos: wavemem.QOSRegistry | None = None) -> ExperimentResult:
     """Run the full disorder sweep.
 
-    Every program of :func:`paged_programs` is executed and reduced to the
-    imbalance.  Deterministic for a given master seed.
+    Every program of :func:`paged_programs` is paged; each realization's
+    imbalance curve over all its programs comes from one
+    :func:`simulator.sweep_probabilities` call.  Deterministic for a given
+    master seed.
     """
     result = ExperimentResult(config=config, series={})
+    noise = None
+    if config.backend == "noisy":
+        noise = config.noise if config.noise is not None else NoiseParams.octobox_defaults()
     realizations: list[DisorderRealization] = []
     curves: list[list[float]] = []  # one per realization, in stream order
-    for w, i, r, k, program, report in paged_programs(config, rct, qos):
+    for w, i, r, k, _, report in paged_programs(config, rct, qos):
         result.page_reports.append((w, i, k, report))
         result.total_loads += len(report.loaded)
         result.total_hits += report.hits
         if k == 0:
             realizations.append(r)
-            curves.append([])
-        record = _execute(program, config, shot_seed=derive_seed(r.seed, 0, k))
-        probs = record.probabilities()
-        curves[-1].append(imbalance(probs["q0mZ"], probs["q1mZ"]))
+            curves.append(_imbalance_curve(r, config, noise))
 
     n = config.n_realizations
     for w_index, w in enumerate(config.w_values):

@@ -221,6 +221,23 @@ class TestExperiment:
         assert run_cli("experiment", "--config", str(config),
                        "--out", str(tmp_path / "out")) == 3
 
+    def test_infinite_t1_t2_gives_the_ideal_curve(self, tmp_path):
+        """Noiseless T1/T2 on the noisy backend: exit 0 and the ideal backend's
+        curve, with rounding below zero clipped rather than rejected."""
+        body = {"n_steps": 1, "n_realizations": 1, "backend": "noisy",
+                "noise": {"t1": [math.inf, math.inf], "t2": [math.inf, math.inf]}}
+        curves = {}
+        for backend in ("noisy", "ideal"):
+            config = _text_file(tmp_path, json.dumps({**body, "backend": backend}),
+                                f"{backend}.json")
+            out = tmp_path / backend
+            assert run_cli("experiment", "--config", str(config), "--out", str(out)) == 0
+            rows = (out / "imbalance.csv").read_text().strip().splitlines()[1:]
+            curves[backend] = [float(row.split(",")[2]) for row in rows]
+        assert len(curves["noisy"]) == 2 * 2  # w values x (N+1)
+        for noisy, ideal in zip(curves["noisy"], curves["ideal"]):
+            assert abs(noisy - ideal) < 1e-12
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert run_cli("experiment", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "out")) == 6
@@ -276,6 +293,16 @@ INVALID_INPUTS = {
         t, backend="noisy", noise={"t1": [1e-6, 1e-6], "t2": [5e-6, 5e-6]})], 3),
     "run-t2-above-2t1": (lambda t: ["run", _program_file(t), "--backend", "noisy",
                                     "--t1", "1e-6", "--t2", "5e-6"], 3),
+    # NaN noise parameters, which every comparison lets through
+    "run-t1-t2-nan": (lambda t: ["run", _program_file(t), "--backend", "noisy",
+                                 "--t1", "nan", "nan", "--t2", "nan", "nan"], 3),
+    "noise-t1-nan": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t1": [math.nan, 2e-5], "t2": [4e-6, 4e-6]})], 3),
+    "noise-t2-nan": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t1": [2e-5, 2e-5], "t2": [4e-6, math.nan]})], 3),
+    "noise-duration-nan": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t1": [2e-5, 2e-5], "t2": [4e-6, 4e-6],
+                                   "cz_duration": math.nan})], 3),
     # config values are taken as typed in the JSON, never converted
     "share-flag-string": (lambda t: ["experiment", "--config", small_config(
         t, share_realizations_across_w="false")], 3),
@@ -283,6 +310,17 @@ INVALID_INPUTS = {
     "n-realizations-float": (lambda t: ["experiment", "--config",
                                         small_config(t, n_realizations=1.5)], 3),
     "n-steps-bool": (lambda t: ["experiment", "--config", small_config(t, n_steps=True)], 3),
+    "tau-string": (lambda t: ["experiment", "--config", small_config(t, tau_over_pi="0.04")], 3),
+    "tau-bool": (lambda t: ["experiment", "--config", small_config(t, tau_over_pi=True)], 3),
+    "w-values-string-entry": (lambda t: ["experiment", "--config",
+                                         small_config(t, w_values=["1", 25.0])], 3),
+    "w-values-bool-entry": (lambda t: ["paging-report", "--config",
+                                       small_config(t, w_values=[1.0, True])], 3),
+    "noise-t1-string": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t1": ["2e-5", 2e-5], "t2": [4e-6, 4e-6]})], 3),
+    "noise-duration-bool": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t1": [2e-5, 2e-5], "t2": [4e-6, 4e-6],
+                                   "single_qubit_gate_duration": True})], 3),
     # negative seeds
     "master-seed-negative": (lambda t: ["experiment", "--config",
                                         small_config(t, master_seed=-1)], 3),
