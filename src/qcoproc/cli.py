@@ -220,7 +220,7 @@ def cmd_paging_report(args) -> int:
     """Replay the experiment's program stream through the waveform memory only."""
     config = _load_config(args)
     runs = [{"w": float(w), "realization": i, "k": k, **report.to_json_dict()}
-            for w, i, _, k, _, report in workload.paged_programs(config)]
+            for w, i, _, k, report in workload.paged_programs(config)]
     body = {"capacity": config.capacity,
             "total_loads": sum(len(run["loaded"]) for run in runs),
             "total_hits": sum(run["hits"] for run in runs), "runs": runs}

@@ -26,7 +26,7 @@ class NonUnitarySlot(QcoprocError):
     """A unitary was requested for a slot containing measure/reset."""
 
 
-class SameQubit(QcoprocError):
+class SameQubit(ValidationError):
     """A two-qubit gate was given identical operands."""
 
 

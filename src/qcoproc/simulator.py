@@ -166,9 +166,9 @@ class NoiseParams:
         # tuples keep the parameters hashable: noise channels are cached per NoiseParams
         object.__setattr__(self, "t1", tuple(self.t1))
         object.__setattr__(self, "t2", tuple(self.t2))
-        # "not x > 0" also rejects NaN, which every comparison lets through
-        if not (self.single_qubit_gate_duration > 0 and self.cz_duration > 0):
-            raise InvalidNoise("gate durations must be positive numbers, got "
+        # "not 0 < x < inf" also rejects NaN, which every comparison lets through
+        if not all(0 < d < math.inf for d in (self.single_qubit_gate_duration, self.cz_duration)):
+            raise InvalidNoise("gate durations must be positive and finite, got "
                                f"{self.single_qubit_gate_duration} and {self.cz_duration}")
         if len(self.t1) != len(self.t2):
             raise InvalidNoise("t1 and t2 must cover the same qubits")

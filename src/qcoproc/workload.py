@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,9 +104,6 @@ _EPILOGUE = slot(Rxy(0, RotationKey.make(0.0, HALF_PI)), Rxy(1, RotationKey.make
 _MEASURE = slot(Measure(0, "q0mZ"), Measure(1, "q1mZ"))
 
 
-# The sweep asks for one realization's interval N + 2 times in a row, so a few
-# entries suffice; a larger cache only keeps finished realizations alive.
-@lru_cache(maxsize=4)
 def _interval_slots(r: DisorderRealization) -> tuple[TimeSlot, ...]:
     """One native evolution interval: 10 single-qubit rotations and 4 cZ."""
     w, tau = r.w, r.tau
@@ -209,6 +205,8 @@ class ExperimentConfig:
             raise ValidationError("w_values must name at least one disorder strength")
         if not all(math.isfinite(w) for w in self.w_values):
             raise ValidationError(f"w_values must be finite, got {list(self.w_values)}")
+        if len(set(self.w_values)) != len(self.w_values):  # 0.0 and -0.0 are one key
+            raise ValidationError(f"w_values must not repeat, got {list(self.w_values)}")
         if self.master_seed < 0:
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_realizations < 1:
@@ -368,16 +366,15 @@ def _imbalance_curve(r: DisorderRealization, config: ExperimentConfig,
     return curve
 
 
-def paged_programs(config: ExperimentConfig, rct: wavemem.RCT | None = None,
-                   qos: wavemem.QOSRegistry | None = None):
+def paged_programs(config: ExperimentConfig):
     """The sweep's program stream, paged through one waveform context.
 
-    Samples each realization, then builds, scans and pages its Trotter-step
-    programs, in canonical order (w index, realization index, k), and yields
-    ``(w, i, r, k, program, report)``.  Deterministic for a given master seed.
+    Samples each realization, then scans and pages its Trotter-step programs
+    in canonical order (w index, realization index, k), and yields
+    ``(w, i, r, k, report)``.  Deterministic for a given master seed.
     """
-    rct = rct if rct is not None else wavemem.RCT(capacity=config.capacity)
-    qos = qos if qos is not None else wavemem.QOSRegistry()
+    rct = wavemem.RCT(capacity=config.capacity)
+    qos = wavemem.QOSRegistry()
     evict_rng = np.random.default_rng(derive_seed(config.master_seed, 0xE, 0xE))
     for w_index, w in enumerate(config.w_values):
         for i in range(config.n_realizations):
@@ -385,19 +382,20 @@ def paged_programs(config: ExperimentConfig, rct: wavemem.RCT | None = None,
             seed = derive_seed(config.master_seed, seed_index, i)
             r = sample_disorder(w, config.tau, config.n_steps,
                                 np.random.default_rng(seed), seed=seed)
-            for k in range(config.n_steps + 1):
-                program = build_native_circuit(r, k)
+            programs = [build_native_circuit(r, k) for k in range(min(r.n_steps, 1) + 1)]
+            for k in range(r.n_steps + 1):
+                # paging reads only the program's rotation set, the same for every k >= 1
+                program = programs[min(k, 1)]
                 wavemem.dgs_scan(program, qos)
                 try:
                     _, report = wavemem.page_update(program, rct, evict_rng)
                 except CapacityExceeded as exc:
                     raise CapacityExceeded(
                         f"w={w:g} realization {i} (seed {r.seed}) k={k}: {exc}") from exc
-                yield w, i, r, k, program, report
+                yield w, i, r, k, report
 
 
-def run_experiment(config: ExperimentConfig, rct: wavemem.RCT | None = None,
-                   qos: wavemem.QOSRegistry | None = None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full disorder sweep.
 
     Every program of :func:`paged_programs` is paged; each realization's
@@ -411,7 +409,7 @@ def run_experiment(config: ExperimentConfig, rct: wavemem.RCT | None = None,
         noise = config.noise if config.noise is not None else NoiseParams.octobox_defaults()
     realizations: list[DisorderRealization] = []
     curves: list[list[float]] = []  # one per realization, in stream order
-    for w, i, r, k, _, report in paged_programs(config, rct, qos):
+    for w, i, r, k, report in paged_programs(config):
         result.page_reports.append((w, i, k, report))
         result.total_loads += len(report.loaded)
         result.total_hits += report.hits

@@ -336,6 +336,22 @@ INVALID_INPUTS = {
     "gen-w-nan": (lambda t: ["gen", "--w", "nan", "--k", "1", "--seed", "3"], 3),
     "trajectory-phi-nan": (lambda t: ["trajectory", "--phi-over-pi", "nan",
                                       "--gamma-over-pi", "1"], 3),
+    # a repeated w would key two sweeps into one series
+    "w-values-repeated": (lambda t: ["experiment", "--config",
+                                     small_config(t, w_values=[1.0, 25.0, 1.0])], 3),
+    "w-values-signed-zero-paging": (lambda t: ["paging-report", "--config",
+                                               small_config(t, w_values=[0.0, -0.0])], 3),
+    # infinite gate durations (infinite T1/T2 stay valid: they mean no decay)
+    "noise-cz-duration-inf": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t1": [2e-5, 2e-5], "t2": [4e-6, 4e-6],
+                                   "cz_duration": math.inf})], 3),
+    "noise-single-qubit-duration-inf": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise={"t1": [2e-5, 2e-5], "t2": [4e-6, 4e-6],
+                                   "single_qubit_gate_duration": math.inf})], 3),
+    # a source gate on one qubit twice
+    "compile-cnot-same-qubit": (lambda t: ["compile", _text_file(t, "cnot q0, q0\n", "p.src")], 3),
+    "compile-crx-same-qubit": (lambda t: ["compile", _text_file(
+        t, "crx q1, q1, 0.5\n", "p.src")], 3),
 }
 
 
