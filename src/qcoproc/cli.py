@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, compiler, isa, simulator, workload
+from . import __version__, compiler, isa, simulator, wavemem, workload
 from .errors import (CapacityExceeded, GoldenConfigError, GoldenMismatch,
                      ParseError, QcoprocError, ValidationError)
 
@@ -216,15 +216,60 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+class _RotationFragments(dict):
+    """RotationKey -> its JSON object as indented inside a paging-report run."""
+
+    def __missing__(self, key) -> str:
+        fragment = self[key] = (
+            f'        {{\n'
+            f'          "gamma_over_pi": {float.__repr__(key.gamma_over_pi)},\n'
+            f'          "phi_over_pi": {float.__repr__(key.phi_over_pi)}\n'
+            f'        }}')
+        return fragment
+
+    def json_list(self, keys) -> str:
+        if not keys:
+            return "[]"
+        return "[\n" + ",\n".join(map(self.__getitem__, keys)) + "\n      ]"
+
+
+def paging_report_text(config: workload.ExperimentConfig) -> str:
+    """The paging trace of ``config``, byte for byte as ``json.dumps(body,
+    indent=2, sort_keys=True) + "\\n"`` prints it.
+
+    ``body`` holds the capacity, one run per pass of
+    :func:`workload.paged_programs` (w, realization, k and the pass's
+    ``PageReport.to_json_dict()``) and the total loads and hits.  ``json``
+    with ``indent`` runs its pure-Python encoder; the default trace holds
+    some 138 k rotation objects but only a few hundred distinct ones, so
+    here each rotation is formatted once.  Config validation keeps every
+    float finite, which ``float.__repr__`` then prints as ``json`` does.
+    """
+    keys = _RotationFragments().json_list
+    runs = []
+    total_loads = total_hits = 0
+    for w, i, _, k, report in workload.paged_programs(config):
+        total_loads += len(report.loaded)
+        total_hits += report.hits
+        runs.append(f'    {{\n'
+                    f'      "dlst": {keys(wavemem.sorted_keys(report.dlst))},\n'
+                    f'      "evicted": {keys(report.evicted)},\n'
+                    f'      "hits": {report.hits},\n'
+                    f'      "k": {k},\n'
+                    f'      "load_counter": {report.load_counter},\n'
+                    f'      "loaded": {keys(report.loaded)},\n'
+                    f'      "mlst": {keys(wavemem.sorted_keys(report.mlst))},\n'
+                    f'      "realization": {i},\n'
+                    f'      "w": {float.__repr__(float(w))}\n'
+                    f'    }}')
+    return (f'{{\n  "capacity": {config.capacity},\n'
+            f'  "runs": [\n' + ",\n".join(runs) + '\n  ],\n'
+            f'  "total_hits": {total_hits},\n  "total_loads": {total_loads}\n}}\n')
+
+
 def cmd_paging_report(args) -> int:
     """Replay the experiment's program stream through the waveform memory only."""
-    config = _load_config(args)
-    runs = [{"w": float(w), "realization": i, "k": k, **report.to_json_dict()}
-            for w, i, _, k, report in workload.paged_programs(config)]
-    body = {"capacity": config.capacity,
-            "total_loads": sum(len(run["loaded"]) for run in runs),
-            "total_hits": sum(run["hits"] for run in runs), "runs": runs}
-    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    text = paging_report_text(_load_config(args))
     if args.out:
         _write(args.out, text)
     else:

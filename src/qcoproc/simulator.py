@@ -74,8 +74,9 @@ class StateVector:
         return StateVector(n_qubits, amps)
 
     def prob_one(self, qubit: int) -> float:
+        """P(|1>) of ``qubit``, capped at 1 against rounding."""
         mask = basis_bit(qubit, self.n_qubits) == 1
-        return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
+        return min(1.0, float(np.sum(np.abs(self.amplitudes[mask]) ** 2)))
 
     def evolve(self, U: np.ndarray) -> None:
         self.amplitudes = U @ self.amplitudes

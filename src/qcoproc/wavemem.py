@@ -181,8 +181,8 @@ class PageReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "mlst": [_key_json(k) for k in _sorted_keys(self.mlst)],
-            "dlst": [_key_json(k) for k in _sorted_keys(self.dlst)],
+            "mlst": [_key_json(k) for k in sorted_keys(self.mlst)],
+            "dlst": [_key_json(k) for k in sorted_keys(self.dlst)],
             "evicted": [_key_json(k) for k in self.evicted],
             "loaded": [_key_json(k) for k in self.loaded],
             "hits": self.hits,
@@ -190,7 +190,8 @@ class PageReport:
         }
 
 
-def _sorted_keys(keys) -> list[RotationKey]:
+def sorted_keys(keys) -> list[RotationKey]:
+    """Rotations in the table's canonical order: by phi, then gamma."""
     return sorted(keys, key=RotationKey.sort_index)
 
 
@@ -225,12 +226,12 @@ def page_update(program: QuantumProgram, rct: RCT,
     dlst = frozenset(rct.resident_keys - needed)
     hits = len(needed) - len(mlst)
 
-    to_load = _sorted_keys(mlst)
+    to_load = sorted_keys(mlst)
     free = sorted(rct.free)
     evicted: list[RotationKey] = []
     n_evict = max(0, len(to_load) - len(free))
     if n_evict:
-        dlst_sorted = _sorted_keys(dlst)
+        dlst_sorted = sorted_keys(dlst)
         victims = rng.choice(len(dlst_sorted), size=n_evict, replace=False)
         for victim in (dlst_sorted[i] for i in sorted(victims.tolist())):
             codeword = rct.codeword_of(victim)

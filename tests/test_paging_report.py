@@ -1,0 +1,87 @@
+"""`qcoproc paging-report`: its direct formatter against `json.dumps`, the
+shipped trace's digest, and a capacity failure partway through the stream."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcoproc import cli, workload
+from qcoproc.workload import ExperimentConfig
+
+REPO = Path(__file__).resolve().parent.parent
+DEFAULT_CONFIG = REPO / "configs" / "experiment_default.json"
+REFERENCE = REPO / "perfbench" / "reference.json"
+
+
+def _json_dumps_report(config: ExperimentConfig) -> str:
+    """The trace as the CLI printed it through ``json.dumps`` before the formatter."""
+    runs = [{"w": float(w), "realization": i, "k": k, **report.to_json_dict()}
+            for w, i, _, k, report in workload.paged_programs(config)]
+    body = {"capacity": config.capacity,
+            "total_loads": sum(len(run["loaded"]) for run in runs),
+            "total_hits": sum(run["hits"] for run in runs), "runs": runs}
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def _configs(draw):
+    negative = draw(st.floats(-30.0, -1e-3))
+    others = draw(st.lists(st.floats(-30.0, 30.0), max_size=2, unique=True))
+    return ExperimentConfig(
+        w_values=tuple([negative] + [w for w in others if w != negative]),
+        n_realizations=draw(st.integers(1, 4)),
+        n_steps=draw(st.integers(0, 3)),
+        master_seed=draw(st.integers(0, 2**32)),
+        capacity=draw(st.integers(10, 16)),  # small enough to evict
+        share_realizations_across_w=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs())
+def test_formatter_matches_json_dumps(config):
+    assert cli.paging_report_text(config) == _json_dumps_report(config)
+
+
+def test_formatter_matches_json_dumps_with_evictions():
+    config = ExperimentConfig(w_values=(-2.5, 25.0), n_realizations=4, n_steps=3,
+                              capacity=10)
+    text = cli.paging_report_text(config)
+    assert text == _json_dumps_report(config)
+    assert any(run["evicted"] for run in json.loads(text)["runs"])
+
+
+def test_default_config_digest(tmp_path):
+    out = tmp_path / "paging-report.json"
+    assert cli.main(["paging-report", "--config", str(DEFAULT_CONFIG),
+                     "--out", str(out)]) == 0
+    expected = json.loads(REFERENCE.read_text())["paging-report"]["sha256"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def _config_with_capacity(tmp_path, capacity) -> Path:
+    body = json.loads(DEFAULT_CONFIG.read_text())
+    body.update(n_realizations=2, n_steps=2, capacity=capacity)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    return path
+
+
+# A full-depth program needs 10 rotations and a k = 0 program 2: capacity 9
+# fails at k = 1 of the first realization, after one pass has been paged.
+@pytest.mark.parametrize("capacity", [1, 9])
+def test_capacity_exceeded_writes_nothing(tmp_path, capsys, capacity):
+    config = _config_with_capacity(tmp_path, capacity)
+    out = tmp_path / "paging-report.json"
+    assert cli.main(["paging-report", "--config", str(config), "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+    assert cli.main(["paging-report", "--config", str(config)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,6 +1,8 @@
 """Disorder workload: sampling, circuit generators, Trotter order, experiment."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from qcoproc.simulator import evolution_operator, hamiltonian_matrix, run_ideal
 from qcoproc.workload import (DEFAULT_TAU, DisorderRealization, ExperimentConfig,
                               build_native_circuit, build_source_circuit,
                               derive_seed, exact_imbalance_curve, gate_census,
-                              imbalance, run_experiment, sample_disorder,
-                              trotter_interval_unitary)
+                              imbalance, paged_programs, run_experiment,
+                              sample_disorder, trotter_interval_unitary)
 
 PI = math.pi
+DEFAULT_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
+                  / "experiment_default.json")
 
 
 def realization(seed=1, w=1.7, n_steps=10):
@@ -196,6 +200,15 @@ class TestExperiment:
         np.testing.assert_allclose(series.mean, exact, atol=1e-9)
         assert compiler.equivalence_check(
             U, evolution_operator(H, DEFAULT_TAU)).phase_invariant_distance < 1e-7
+
+    def test_exact_oracle_bounded_on_every_default_realization(self):
+        """Rounding put P(|1>) at 1.0000000000000004 (w=1, i=0 of the default
+        sweep) and the oracle raised OutOfRange on 50 of the 120 realizations."""
+        config = ExperimentConfig.from_json_dict(json.loads(DEFAULT_CONFIG.read_text()))
+        realizations = [r for _, _, r, k, _ in paged_programs(config) if k == 0]
+        assert len(realizations) == 120
+        for r in realizations:
+            assert all(-1.0 <= v <= 1.0 for v in exact_imbalance_curve(r)), r.seed
 
     def test_imbalance_starts_at_one_and_stays_bounded(self):
         config = ExperimentConfig(n_realizations=3, n_steps=5)
