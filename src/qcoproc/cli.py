@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, compiler, isa, simulator, wavemem, workload
 from .errors import (CapacityExceeded, GoldenConfigError, GoldenMismatch,
-                     ParseError, QcoprocError, ValidationError)
+                     NonUnitarySlot, ParseError, QcoprocError, ValidationError)
 
 EXIT_CODES = (
     (ParseError, 2),
@@ -73,7 +73,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    source = compiler.parse_source_program(Path(args.infile).read_text())
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValidationError(f"--tolerance must be positive and finite, got {args.tolerance}")
+    source = compiler.parse_source_program(_read_text(args.infile))
     passes = args.passes.split(",") if args.passes else list(compiler.PASSES)
     compiled = compiler.run_passes(source, passes)
     text = compiler.emit_source_program(compiled)
@@ -88,13 +90,13 @@ def cmd_compile(args) -> int:
         print(f"phase-invariant distance: {report.phase_invariant_distance:.3e} "
               f"(equivalent at {report.tolerance:g}: {report.equivalent})",
               file=sys.stderr)
-    except QcoprocError:
+    except NonUnitarySlot:
         pass  # programs with measure/reset have no circuit unitary to compare
     return 0
 
 
 def cmd_run(args) -> int:
-    program = isa.parse_program(Path(args.infile).read_text())
+    program = isa.parse_program(_read_text(args.infile))
     if args.backend == "ideal":
         record = simulator.run_ideal(program, mode=args.mode, n_avg=args.n_avg,
                                      seed=args.seed)
@@ -118,10 +120,18 @@ def _noise_from_args(args) -> simulator.NoiseParams:
     return simulator.NoiseParams(t1=tuple(args.t1), t2=tuple(args.t2))
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; bytes that are not UTF-8 are a parse error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        return json.loads(_read_text(path))
+    except ValueError as exc:  # malformed JSON
         raise ParseError(f"{path}: {exc}") from None
 
 

@@ -66,7 +66,7 @@ class NotNormalized(QcoprocError):
     """A normalized state vector was expected."""
 
 
-class StepOutOfRange(QcoprocError):
+class StepOutOfRange(ValidationError):
     """Trotter step index outside 0..n_steps."""
 
 

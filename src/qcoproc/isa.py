@@ -275,7 +275,12 @@ def program_segment_unitary(program: QuantumProgram, start: int = 0,
 #   measure q<N> -> <reg>
 #   reset q<N>
 #   { stmt | stmt | ... }        parallel slot
-# A bare statement occupies its own slot.
+# A bare statement occupies its own slot.  Qubit indices run from q0 to
+# q<MAX_QUBITS - 1>: the backends and the equivalence check build dense
+# 2**n x 2**n operators, 1 MiB each at 8 qubits, and the noisy backend holds
+# several of them per qubit.
+
+MAX_QUBITS = 8
 
 
 def _parse_qubit(tok: str, line: int) -> int:
@@ -352,6 +357,9 @@ def parse_slots(text: str, statement_parser=_parse_statement) -> tuple[int, tupl
             slots.append(TimeSlot((statement_parser(stripped, lineno),)))
         for instr in slots[-1].instructions:
             max_q = max(max_q, *instr.qubits)
+        if max_q >= MAX_QUBITS:
+            raise ValidationError(f"line {lineno}: qubit q{max_q} beyond the widest "
+                                  f"supported program, q0..q{MAX_QUBITS - 1}")
     return (max_q + 1 if max_q >= 0 else 0), tuple(slots)
 
 

@@ -334,7 +334,6 @@ class ImbalanceSeries:
 class ExperimentResult:
     config: ExperimentConfig
     series: dict                      # w -> ImbalanceSeries
-    page_reports: list = field(default_factory=list)  # (w, realization, k, PageReport)
     realizations: dict = field(default_factory=dict)  # w -> list[DisorderRealization]
     total_loads: int = 0
     total_hits: int = 0
@@ -409,8 +408,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         noise = config.noise if config.noise is not None else NoiseParams.octobox_defaults()
     realizations: list[DisorderRealization] = []
     curves: list[list[float]] = []  # one per realization, in stream order
-    for w, i, r, k, report in paged_programs(config):
-        result.page_reports.append((w, i, k, report))
+    for _, _, r, k, report in paged_programs(config):
         result.total_loads += len(report.loaded)
         result.total_hits += report.hits
         if k == 0:

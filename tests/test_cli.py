@@ -65,7 +65,7 @@ class TestGen:
     def test_step_out_of_range_is_validation_exit(self, tmp_path):
         code = run_cli("gen", "--w", "2", "--k", "11", "--seed", "1",
                        "--out", str(tmp_path / "x.qasm"))
-        assert code == 1  # StepOutOfRange has no dedicated code
+        assert code == 3
 
 
 class TestCompile:
@@ -255,6 +255,12 @@ def _text_file(tmp_path, text, name="config.json") -> Path:
     return path
 
 
+def _bytes_file(tmp_path, data, name) -> Path:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
 # (argv builder over tmp_path, documented exit code)
 INVALID_INPUTS = {
     "capacity-flag-0": (lambda t: ["experiment", "--config", small_config(t),
@@ -352,6 +358,27 @@ INVALID_INPUTS = {
     "compile-cnot-same-qubit": (lambda t: ["compile", _text_file(t, "cnot q0, q0\n", "p.src")], 3),
     "compile-crx-same-qubit": (lambda t: ["compile", _text_file(
         t, "crx q1, q1, 0.5\n", "p.src")], 3),
+    # a Trotter step outside 0..n_steps
+    "gen-k-above-n-steps": (lambda t: ["gen", "--w", "25", "--k", "11", "--n-steps", "10",
+                                       "--seed", "1"], 3),
+    "gen-k-negative": (lambda t: ["gen", "--w", "25", "--k", "-1", "--n-steps", "10",
+                                  "--seed", "1"], 3),
+    # program text that is not UTF-8
+    "run-not-utf8": (lambda t: ["run", _bytes_file(t, b"\xff\xfe rxy q0, 0, 1\n", "p.qasm")], 2),
+    "compile-not-utf8": (lambda t: ["compile", _bytes_file(
+        t, b"\xff\xfe rxy q0, 0, 1\n", "p.src")], 2),
+    # an equivalence tolerance that is not positive and finite
+    "compile-tolerance-nan": (lambda t: ["compile", _text_file(t, "cnot q1, q0\n", "p.src"),
+                                         "--tolerance", "nan"], 3),
+    "compile-tolerance-negative": (lambda t: ["compile", _text_file(
+        t, "cnot q1, q0\n", "p.src"), "--tolerance", "-1"], 3),
+    "compile-tolerance-0": (lambda t: ["compile", _text_file(t, "cnot q1, q0\n", "p.src"),
+                                       "--tolerance", "0"], 3),
+    "compile-tolerance-inf": (lambda t: ["compile", _text_file(t, "cnot q1, q0\n", "p.src"),
+                                         "--tolerance", "inf"], 3),
+    # a qubit index too wide for the dense backends and the equivalence check
+    "run-qubit-40": (lambda t: ["run", _text_file(t, "rxy q40, 0, 1\n", "p.qasm")], 3),
+    "compile-qubit-40": (lambda t: ["compile", _text_file(t, "rxy q40, 0, 1\n", "p.src")], 3),
 }
 
 

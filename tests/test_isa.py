@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoproc.errors import NonUnitarySlot, ParseError, ValidationError
-from qcoproc.isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy,
-                         TimeSlot, cz_matrix, emit_program, parse_program,
+from qcoproc.isa import (CZ, MAX_QUBITS, Measure, QuantumProgram, Reset, RotationKey,
+                         Rxy, TimeSlot, cz_matrix, emit_program, parse_program,
                          program_segment_unitary, rxy_matrix, slot, slot_unitary)
 
 PI = math.pi
@@ -204,6 +204,15 @@ class TestAssembly:
         with pytest.raises(ParseError) as err:
             parse_program("rxy q0, 0, 1\nbogus q0\n")
         assert err.value.line == 2
+
+    def test_widest_qubit_index_parses(self):
+        assert parse_program(f"rxy q{MAX_QUBITS - 1}, 0, 1\n").n_qubits == MAX_QUBITS
+
+    @pytest.mark.parametrize("text", [f"reset q0\nrxy q{MAX_QUBITS}, 0, 1\n",
+                                      "reset q0\n{ reset q0 | cz q1, q40 }\n"])
+    def test_qubit_index_beyond_bound_names_line(self, text):
+        with pytest.raises(ValidationError, match="^line 2: "):
+            parse_program(text)
 
     def test_comments_and_blanks_ignored(self):
         p = parse_program("# preamble\n\nreset q0  # trailing\n")

@@ -1,7 +1,9 @@
 """Disorder workload: sampling, circuit generators, Trotter order, experiment."""
 
+import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -239,13 +241,32 @@ class TestExperiment:
     def test_paging_accounting_over_replay(self):
         config = ExperimentConfig(n_realizations=4, n_steps=3, capacity=16)
         result = run_experiment(config)
-        assert result.total_loads == sum(len(rep.loaded)
-                                         for _, _, _, rep in result.page_reports)
-        for _, _, _, rep in result.page_reports:
+        reports = [rep for *_, rep in paged_programs(config)]
+        assert result.total_loads == sum(len(rep.loaded) for rep in reports)
+        for rep in reports:
             assert rep.hits + len(rep.loaded) == rep.hits + len(rep.mlst)
         summary = result.paging_summary()
         assert summary["capacity"] == 16
         assert summary["total_loads"] >= 10
+
+    def test_retained_memory_does_not_grow_with_depth(self):
+        """The result keeps the curves and the paging totals, not one page
+        report per pass: 10x the Trotter depth adds under 256 kB."""
+        def retained_bytes(n_steps):
+            config = ExperimentConfig(n_realizations=10, n_steps=n_steps)
+            run_experiment(config)  # warm-up: the slot-unitary cache fills here
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = run_experiment(config)
+                gc.collect()
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result.series) == 2
+            return size
+
+        assert retained_bytes(40) - retained_bytes(4) < 256 * 1024
 
     def test_csv_shape(self):
         config = ExperimentConfig(n_realizations=2, n_steps=2)
