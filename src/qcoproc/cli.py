@@ -34,6 +34,14 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
+def _output(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one."""
+    if out:
+        _write(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def config_hash(config: workload.ExperimentConfig) -> str:
     canonical = json.dumps(config.to_json_dict(), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -65,10 +73,7 @@ def cmd_gen(args) -> int:
     r = _realization_from_args(args)
     program = workload.build_native_circuit(r, args.k)
     text = isa.emit_program(program)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _output(text, args.out)
     return 0
 
 
@@ -79,10 +84,7 @@ def cmd_compile(args) -> int:
     passes = args.passes.split(",") if args.passes else list(compiler.PASSES)
     compiled = compiler.run_passes(source, passes)
     text = compiler.emit_source_program(compiled)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _output(text, args.out)
     try:
         U = compiler.source_program_unitary(source)
         V = compiler.source_program_unitary(compiled)
@@ -98,6 +100,8 @@ def cmd_compile(args) -> int:
 def cmd_run(args) -> int:
     program = isa.parse_program(_read_text(args.infile))
     if args.backend == "ideal":
+        if args.t1 is not None or args.t2 is not None:
+            raise ValidationError("--t1 and --t2 apply only to --backend noisy")
         record = simulator.run_ideal(program, mode=args.mode, n_avg=args.n_avg,
                                      seed=args.seed)
     else:
@@ -105,10 +109,7 @@ def cmd_run(args) -> int:
         record = simulator.run_noisy(program, noise, mode=args.mode,
                                      n_avg=args.n_avg, seed=args.seed)
     text = json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _output(text, args.out)
     return 0
 
 
@@ -219,10 +220,7 @@ def cmd_trajectory(args) -> int:
         lines += [f"{s},{float(p.theta / math.pi)!r},{float(p.phi / math.pi)!r}"
                   for s, p in enumerate(points)]
         text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _output(text, args.out)
     return 0
 
 
@@ -280,10 +278,7 @@ def paging_report_text(config: workload.ExperimentConfig) -> str:
 def cmd_paging_report(args) -> int:
     """Replay the experiment's program stream through the waveform memory only."""
     text = paging_report_text(_load_config(args))
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _output(text, args.out)
     return 0
 
 

@@ -277,8 +277,11 @@ def program_segment_unitary(program: QuantumProgram, start: int = 0,
 #   { stmt | stmt | ... }        parallel slot
 # A bare statement occupies its own slot.  Qubit indices run from q0 to
 # q<MAX_QUBITS - 1>: the backends and the equivalence check build dense
-# 2**n x 2**n operators, 1 MiB each at 8 qubits, and the noisy backend holds
-# several of them per qubit.
+# 2**n x 2**n operators, 1 MiB each at 8 qubits, and the slot-unitary cache
+# keeps one per distinct slot.  The noisy backend's decay needs only a few
+# arrays the size of rho: a two-slot program on it takes 0.06-0.07 s and
+# 37-38 MB peak RSS at 8 qubits, 1.5-1.7 s and 130-133 MB at 10 (2 CPUs,
+# Python 3.11, numpy 2.4).
 
 MAX_QUBITS = 8
 

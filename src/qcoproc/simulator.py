@@ -7,10 +7,10 @@ per representation lives on the state classes: ``evolve``, ``project``,
 ``reset`` and ``basis_probabilities``.  The ideal backend evolves a
 ``StateVector``, where reset is a projection onto |0>.  The noisy backend
 evolves a ``DensityMatrix``, where reset traces the qubit out, and its
-after-slot hook applies per-qubit amplitude-damping and pure-dephasing
-channels parameterized by per-qubit T1/T2 and gate durations (single-qubit
-20 ns, cZ 40 ns by default; qubits idling during a slot decohere for the full
-slot duration).
+after-slot hook applies per-qubit T1/T2 decay for the slot's duration
+(single-qubit 20 ns, cZ 40 ns by default; qubits idling during a slot decohere
+for the full slot duration).  Both reset and the decay are one closed form,
+``_decay``, that scales and moves blocks of rho picked out by a qubit's bit.
 
 Measurement records either exact probabilities (no collapse, the default for
 the deterministic experiment pipeline) or per-shot sampled bits with collapse.
@@ -19,16 +19,15 @@ Sampling is vectorized over shots when every measurement is terminal.
 ``sweep_probabilities`` is the engine behind the disorder sweep: it builds the
 map of a head, a repeated interval and a tail of unitary slots once, and steps
 it k = 0..N times.  The ideal engine multiplies slot unitaries; the noisy one
-multiplies 16x16 Liouville superoperators, vec(K rho K^H) = (K kron conj(K))
-vec(rho) for a row-major vec, each a slot's T1/T2 decay map times
-kron(U, conj(U)).  ``run_ideal`` and ``run_noisy`` stay the per-program oracle.
+multiplies superoperators on a row-major vec(rho), each a slot's decay map
+(``_decay`` applied to every basis matrix) times kron(U, conj(U)).
+``run_ideal`` and ``run_noisy`` stay the per-program oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,9 +39,6 @@ from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-# Kraus pair that traces a qubit out and re-prepares it in |0>
-_RESET_KRAUS = (np.array([[1, 0], [0, 0]], dtype=complex),
-                np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def _checked_probabilities(probs: np.ndarray, what: str) -> np.ndarray:
@@ -132,14 +128,10 @@ class DensityMatrix:
     def evolve(self, U: np.ndarray) -> None:
         self.entries = U @ self.entries @ U.conj().T
 
-    def apply_channel(self, kraus_ops: list[np.ndarray]) -> None:
-        self.entries = sum(K @ self.entries @ K.conj().T for K in kraus_ops)
-
     def project(self, qubit: int, outcome: int) -> None:
         """Collapse onto ``outcome`` of ``qubit``; an impossible outcome raises."""
         keep = basis_bit(qubit, self.n_qubits) == outcome
-        P = np.diag(keep.astype(complex))
-        projected = P @ self.entries @ P
+        projected = self.entries * np.outer(keep, keep)
         prob = float(np.trace(projected).real)
         if prob < 1e-12:
             raise InvalidProgram(f"measurement outcome {outcome} on q{qubit} has "
@@ -148,7 +140,7 @@ class DensityMatrix:
 
     def reset(self, qubit: int) -> None:
         """Trace the qubit out and re-prepare it in |0>."""
-        self.apply_channel([embed({qubit: K}, self.n_qubits) for K in _RESET_KRAUS])
+        self.entries = _decay(self.entries, qubit, self.n_qubits, p=1.0, coherence=0.0)
 
     def basis_probabilities(self) -> np.ndarray:
         return _checked_probabilities(np.real(np.diag(self.entries)), "density matrix trace")
@@ -164,7 +156,6 @@ class NoiseParams:
     cz_duration: float = 40e-9
 
     def __post_init__(self):
-        # tuples keep the parameters hashable: noise channels are cached per NoiseParams
         object.__setattr__(self, "t1", tuple(self.t1))
         object.__setattr__(self, "t2", tuple(self.t2))
         # "not 0 < x < inf" also rejects NaN, which every comparison lets through
@@ -340,7 +331,7 @@ def _apply_slot(state: StateVector | DensityMatrix, s: TimeSlot, registers: dict
             state.evolve(slot_unitary(TimeSlot((instr,)), state.n_qubits))
 
 
-# --- noise channels ----------------------------------------------------------------
+# --- T1/T2 decay -------------------------------------------------------------------
 
 
 def _check_noise_covers(noise: NoiseParams, n_qubits: int) -> None:
@@ -349,52 +340,47 @@ def _check_noise_covers(noise: NoiseParams, n_qubits: int) -> None:
                            f"program uses {n_qubits}")
 
 
-@lru_cache(maxsize=256)
-def _noise_channels(noise: NoiseParams, qubit: int, duration: float,
-                    n_qubits: int) -> tuple:
-    """Kraus pairs of ``qubit``'s T1 then T2 decay over ``duration``, embedded
-    in ``n_qubits``; cached, so the operators are read-only."""
-    if duration <= 0.0:
-        return ()
-    channels = []
-    p = 1.0 - math.exp(-duration / noise.t1[qubit])
-    if p > 0.0:
-        k0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
-        k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
-        channels.append((k0, k1))
-    # pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1)
-    rate = 1.0 / noise.t2[qubit] - 0.5 / noise.t1[qubit]
-    flip = (1.0 - math.exp(-duration * rate)) / 2.0 if rate > 0 else 0.0
-    if flip > 0.0:
-        channels.append((math.sqrt(1 - flip) * np.eye(2, dtype=complex),
-                         math.sqrt(flip) * _PAULI_Z))
-    embedded = tuple(tuple(embed({qubit: K}, n_qubits) for K in pair) for pair in channels)
-    for pair in embedded:
-        for K in pair:
-            K.setflags(write=False)
-    return embedded
+def _decay(rho: np.ndarray, qubit: int, n_qubits: int, p: float,
+           coherence: float) -> np.ndarray:
+    """Amplitude damping by ``p`` and coherence factor ``coherence`` of
+    ``qubit``, on the last two axes of ``rho``.
+
+    Entries whose row and column both have the qubit set lose ``p`` of their
+    weight to the entry with the qubit cleared in both; entries where just
+    one of the two has it set are scaled by ``coherence``.  For T1/T2 decay
+    over d, p = 1 - exp(-d/T1) and coherence = exp(-d/T2); p = 1 with
+    coherence = 0 traces the qubit out and re-prepares |0>.
+    """
+    bit = basis_bit(qubit, n_qubits)
+    hi, lo = np.flatnonzero(bit), np.flatnonzero(1 - bit)
+    # scale by how many of the entry's row and column have the qubit set
+    out = rho * np.array([1.0, coherence, 1.0 - p])[bit[:, None] + bit]
+    out[..., lo[:, None], lo] += p * rho[..., hi[:, None], hi]
+    return out
+
+
+def _slot_decay(rho: np.ndarray, n_qubits: int, noise: NoiseParams,
+                duration: float) -> np.ndarray:
+    """Every qubit's T1/T2 decay over ``duration``."""
+    for q in range(n_qubits):
+        rho = _decay(rho, q, n_qubits, 1.0 - math.exp(-duration / noise.t1[q]),
+                     math.exp(-duration / noise.t2[q]))
+    return rho
 
 
 def _apply_slot_noise(rho: DensityMatrix, s: TimeSlot, noise: NoiseParams) -> None:
-    duration = noise.slot_duration(s)
-    for q in range(rho.n_qubits):
-        for channel in _noise_channels(noise, q, duration, rho.n_qubits):
-            rho.apply_channel(channel)
+    rho.entries = _slot_decay(rho.entries, rho.n_qubits, noise, noise.slot_duration(s))
 
 
 # --- sweep engine ---------------------------------------------------------------------
 
 
-def _liouville(kraus_ops) -> np.ndarray:
-    """Superoperator of rho -> sum K rho K^H on a row-major vec(rho)."""
-    return sum(np.kron(K, K.conj()) for K in kraus_ops)
-
-
 def _decay_map(noise: NoiseParams, duration: float, n_qubits: int) -> np.ndarray:
-    """Superoperator of ``_apply_slot_noise`` for a slot of ``duration``."""
-    return ordered_product((_liouville(channel) for q in range(n_qubits)
-                            for channel in _noise_channels(noise, q, duration, n_qubits)),
-                           1 << (2 * n_qubits))
+    """Superoperator of ``_apply_slot_noise`` for a slot of ``duration``: its
+    column a is the decayed basis matrix a, read as a row-major vec."""
+    size = 1 << (2 * n_qubits)
+    basis = np.eye(size, dtype=complex).reshape(size, 1 << n_qubits, 1 << n_qubits)
+    return _slot_decay(basis, n_qubits, noise, duration).reshape(size, size).T
 
 
 def sweep_probabilities(head, interval, tail, n_steps: int, n_qubits: int,
@@ -427,7 +413,8 @@ def sweep_probabilities(head, interval, tail, n_steps: int, n_qubits: int,
             duration = noise.slot_duration(s)
             if duration not in decay:
                 decay[duration] = _decay_map(noise, duration, n_qubits)
-            return decay[duration] @ _liouville([slot_unitary(s, n_qubits)])
+            U = slot_unitary(s, n_qubits)
+            return decay[duration] @ np.kron(U, U.conj())
 
         def read(vec):  # the diagonal of rho
             return _checked_probabilities(vec[::dim + 1].real, "density matrix trace")

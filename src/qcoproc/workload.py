@@ -161,11 +161,6 @@ class GateCensus:
     measures: int
     resets: int
 
-    @property
-    def per_kind(self) -> dict:
-        return {"rxy": self.single_qubit, "cz": self.two_qubit,
-                "measure": self.measures, "reset": self.resets}
-
 
 def gate_census(program: QuantumProgram) -> GateCensus:
     """Count native instructions by kind (measure/reset reported separately)."""

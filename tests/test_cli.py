@@ -379,6 +379,10 @@ INVALID_INPUTS = {
     # a qubit index too wide for the dense backends and the equivalence check
     "run-qubit-40": (lambda t: ["run", _text_file(t, "rxy q40, 0, 1\n", "p.qasm")], 3),
     "compile-qubit-40": (lambda t: ["compile", _text_file(t, "rxy q40, 0, 1\n", "p.src")], 3),
+    # noise times on the ideal backend, which has no noise to apply them to
+    "run-ideal-t1-t2": (lambda t: ["run", _program_file(t), "--backend", "ideal",
+                                   "--t1", "1e-6", "--t2", "1e-6"], 3),
+    "run-default-backend-t1": (lambda t: ["run", _program_file(t), "--t1", "1e-6"], 3),
 }
 
 

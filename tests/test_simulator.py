@@ -1,6 +1,7 @@
 """Backends, Hamiltonian, exact evolution, Bloch utilities, noise physics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,94 @@ class TestRunNoisy:
         assert ideal.keys() == noisy.keys()
         for reg in ideal:
             assert abs(ideal[reg] - noisy[reg]) < 1e-10
+
+
+def _embedded(K: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
+    out = np.eye(1)
+    for q in range(n_qubits - 1, -1, -1):  # qubit 0 is the least significant bit
+        out = np.kron(out, K if q == qubit else np.eye(2))
+    return out
+
+
+def _apply_kraus(rho: np.ndarray, kraus, qubit: int, n_qubits: int) -> np.ndarray:
+    ops = [_embedded(np.array(K, dtype=complex), qubit, n_qubits) for K in kraus]
+    return sum(K @ rho @ K.conj().T for K in ops)
+
+
+def _kraus_slot_noise(rho: np.ndarray, noise: NoiseParams, d: float, n_qubits: int) -> np.ndarray:
+    """Per qubit: amplitude damping over d, then pure dephasing at
+    1/Tphi = 1/T2 - 1/(2 T1), each as a sum of K rho K^H."""
+    for q in range(n_qubits):
+        p = 1.0 - math.exp(-d / noise.t1[q])
+        rho = _apply_kraus(rho, ([[1, 0], [0, math.sqrt(1 - p)]], [[0, math.sqrt(p)], [0, 0]]),
+                           q, n_qubits)
+        rate = 1.0 / noise.t2[q] - 0.5 / noise.t1[q]
+        flip = (1.0 - math.exp(-d * rate)) / 2.0 if rate > 0 else 0.0
+        rho = _apply_kraus(rho, (math.sqrt(1 - flip) * np.eye(2),
+                                 math.sqrt(flip) * np.diag([1.0, -1.0])), q, n_qubits)
+    return rho
+
+
+@st.composite
+def _t1_t2(draw):
+    """A physical (T1, T2) pair, T2 <= 2 T1, either of them possibly infinite."""
+    t1 = draw(st.one_of(st.just(math.inf), st.floats(1e-8, 1e-4)))
+    t2 = draw(st.one_of(st.just(math.inf), st.floats(1e-8, 1e-3)) if t1 == math.inf
+              else st.floats(1e-8, 2 * t1))
+    return t1, t2
+
+
+@st.composite
+def _density_matrices(draw, n_qubits: int) -> np.ndarray:
+    dim = 1 << n_qubits
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestDecay:
+    """The closed-form decay against the Kraus sums it replaces."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_slot_noise_reset_and_decay_map_equal_kraus_sums(self, data):
+        n = data.draw(st.integers(1, 3))
+        pairs = [data.draw(_t1_t2()) for _ in range(n)]
+        d = data.draw(st.floats(1e-10, 1e-5))
+        noise = NoiseParams(t1=tuple(t1 for t1, _ in pairs), t2=tuple(t2 for _, t2 in pairs),
+                            single_qubit_gate_duration=d)
+        start = data.draw(_density_matrices(n))
+        expected = _kraus_slot_noise(start, noise, d, n)
+
+        rho = DensityMatrix(n, start)
+        simulator._apply_slot_noise(rho, slot(Rxy(0, key(0, 0.5))), noise)
+        assert np.max(np.abs(rho.entries - expected)) < 1e-12
+
+        vec = simulator._decay_map(noise, d, n) @ start.reshape(-1)
+        assert np.max(np.abs(vec.reshape(start.shape) - expected)) < 1e-12
+
+        q = data.draw(st.integers(0, n - 1))
+        rho = DensityMatrix(n, start)
+        rho.reset(q)
+        reset = _apply_kraus(start, ([[1, 0], [0, 0]], [[0, 1], [0, 0]]), q, n)
+        assert np.max(np.abs(rho.entries - reset)) < 1e-12
+
+    def test_eight_qubit_program_stays_near_the_size_of_rho(self):
+        """rho is 1 MiB at 8 qubits; the decay holds no register-sized
+        operator per qubit beside it."""
+        p = parse_program("rxy q7, 0, 1\ncz q0, q7\nmeasure q0 -> a\nmeasure q7 -> b\n")
+        noise = NoiseParams(t1=(28e-6,) * 8, t2=(4.2e-6,) * 8)
+        tracemalloc.start()
+        try:
+            probs = run_noisy(p, noise).probabilities()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert probs["a"] == pytest.approx(0.0, abs=1e-12)
+        d = noise.single_qubit_gate_duration + noise.cz_duration
+        assert probs["b"] == pytest.approx(math.exp(-d / noise.t1[7]), abs=1e-12)
 
 
 @st.composite

@@ -78,17 +78,6 @@ def test_engine_rejects_noise_for_too_few_qubits():
         simulator.sweep_probabilities((), (), (), 1, 2, NoiseParams(t1=(1e-5,), t2=(1e-5,)))
 
 
-def test_cached_noise_channel_is_read_only():
-    noise = NoiseParams.octobox_defaults()
-    channels = simulator._noise_channels(noise, 0, noise.cz_duration, 2)
-    assert channels and channels is simulator._noise_channels(noise, 0, noise.cz_duration, 2)
-    for pair in channels:
-        for K in pair:
-            assert not K.flags.writeable
-            with pytest.raises(ValueError):
-                K[0, 0] = 0.0
-
-
 def test_density_matrix_prob_one_clips_rounding_below_zero():
     rho = DensityMatrix(2, np.diag([1.0, -6e-33, 0.0, 0.0]).astype(complex))
     assert rho.prob_one(0) == 0.0
