@@ -9,11 +9,11 @@
 import numpy as np
 
 from qcoproc import wavemem, workload
-from qcoproc.wavemem import RCT, QOSRegistry, dgs_scan, page_update
+from qcoproc.wavemem import RCT, dgs_scan, page_update
 
 capacity = 12
 rct = RCT(capacity=capacity)
-qos = QOSRegistry()
+qos = {}  # rotation -> pulse
 evict_rng = np.random.default_rng(99)
 
 print(f"codeword table capacity: {capacity} rotations "
@@ -29,7 +29,7 @@ for i in range(8):
     print(f"{i:4d}   {len(new_keys):10d}   {len(report.mlst):7d}   "
           f"{report.hits:4d}   {len(report.evicted):7d}   {rct.load_counter:12d}")
 
-print(f"\nregistry now knows {len(qos.entries)} rotations; "
+print(f"\nregistry now knows {len(qos)} rotations; "
       f"{len(rct.resident)} are loaded")
 
 # every instruction of the last program maps to a codeword
@@ -39,7 +39,7 @@ print(f"codeword stream length for the last program: {len(stream)} "
 
 # one synthesized pulse, in the clear
 key = sorted(report.loaded, key=lambda k: k.sort_index())[0]
-pulse = qos.entries[key]
+pulse = qos[key]
 print(f"\npulse for phi={key.phi_over_pi}*pi, gamma={key.gamma_over_pi}*pi "
-      f"({len(pulse.samples)} samples at {pulse.sample_rate / 1e9:.0f} GS/s):")
-print(np.asarray(pulse.samples).round(3))
+      f"({len(pulse)} samples at {wavemem.SAMPLE_RATE / 1e9:.0f} GS/s):")
+print(pulse.round(3))

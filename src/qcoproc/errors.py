@@ -38,10 +38,6 @@ class DimensionMismatch(QcoprocError):
     """Two matrices of different dimensions were compared."""
 
 
-class AmplitudeOverflow(QcoprocError):
-    """Pulse synthesis was asked for an amplitude beyond full scale."""
-
-
 class CapacityExceeded(QcoprocError):
     """A program needs more distinct rotations than the codeword table holds."""
 

@@ -244,7 +244,7 @@ def instruction_unitary(instr, n_qubits: int) -> np.ndarray:
     raise NonUnitarySlot(f"{type(instr).__name__} has no unitary")
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=16)
 def _slot_unitary_cached(s: TimeSlot, n_qubits: int) -> np.ndarray:
     U = ordered_product((instruction_unitary(i, n_qubits) for i in s.instructions),
                         1 << n_qubits)
@@ -277,9 +277,12 @@ def program_segment_unitary(program: QuantumProgram, start: int = 0,
 #   { stmt | stmt | ... }        parallel slot
 # A bare statement occupies its own slot.  Qubit indices run from q0 to
 # q<MAX_QUBITS - 1>: the backends and the equivalence check build dense
-# 2**n x 2**n operators, 1 MiB each at 8 qubits, and the slot-unitary cache
-# keeps one per distinct slot.  The noisy backend's decay needs only a few
-# arrays the size of rho: a two-slot program on it takes 0.06-0.07 s and
+# 2**n x 2**n operators, 1 MiB each at 8 qubits.  The slot-unitary cache keeps
+# only the 16 most recently used, so a long program of distinct slots does not
+# hold one each (`qcoproc run` on 300 distinct q7 rotations peaks at 54 MB
+# RSS); one sweep realization uses 11 distinct slots, so the sweep's hits are
+# the same at any bound from 16 up.  The noisy backend's decay needs only a
+# few arrays the size of rho: a two-slot program on it takes 0.06-0.07 s and
 # 37-38 MB peak RSS at 8 qubits, 1.5-1.7 s and 130-133 MB at 10 (2 CPUs,
 # Python 3.11, numpy 2.4).
 

@@ -4,8 +4,8 @@ An arbitrary-rotation instruction names infinitely many operations, but the
 control electronics store a finite table of waveforms addressed by codewords.
 Three mechanisms make that work:
 
-* an operation registry (:class:`QOSRegistry`) holding the synthesized pulse
-  for every rotation the system currently knows;
+* an operation registry, a plain dict from each rotation the system currently
+  knows (a :class:`~qcoproc.isa.RotationKey`) to its synthesized pulse;
 * a per-program scan (:func:`dgs_scan`) that extends the registry with any
   rotations the next program introduces;
 * paging (:func:`page_update`) over a bounded rotation-to-codeword table
@@ -14,10 +14,10 @@ Three mechanisms make that work:
   codewords being consumed first.
 
 Pulses are a deterministic stand-in: a unit-peak Gaussian envelope with
-sigma = T/4 over a 20 ns gate at 1 GS/s, amplitude gamma/pi, complex phase
-e^{i*phi}.  Full scale corresponds to a pi rotation; amplitudes up to
-``max_amplitude_ratio`` (default 2, matching the canonical gamma range) are
-permitted.
+sigma = T/4 over a ``PULSE_DURATION`` = 20 ns gate at ``SAMPLE_RATE`` =
+1 GS/s, amplitude gamma/pi, complex phase e^{i*phi}.  Full scale corresponds
+to a pi rotation; a canonical gamma lies in (-2 pi, 2 pi], so no pulse
+exceeds twice full scale.
 """
 
 from __future__ import annotations
@@ -28,74 +28,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmplitudeOverflow, CapacityExceeded, NotResident
+from .errors import CapacityExceeded, NotResident
 from .isa import QuantumProgram, RotationKey, Rxy
 
 CZ_CODEWORD_OFFSET = 0
 MEASURE_CODEWORD_OFFSET = 1
 RESET_CODEWORD_OFFSET = 2
 
-
-@dataclass(frozen=True)
-class PulseConfig:
-    duration: float = 20e-9
-    sample_rate: float = 1e9
-    max_amplitude_ratio: float = 2.0
+PULSE_DURATION = 20e-9
+SAMPLE_RATE = 1e9
+_t = np.arange(round(PULSE_DURATION * SAMPLE_RATE)) / SAMPLE_RATE
+_ENVELOPE = np.exp(-((_t - PULSE_DURATION / 2) ** 2) / (2 * (PULSE_DURATION / 4) ** 2))
 
 
-@dataclass(frozen=True)
-class PulseSpec:
-    """Complex IQ samples of one rotation pulse."""
-
-    samples: tuple
-    duration: float
-    sample_rate: float
-
-    def __post_init__(self):
-        expected = round(self.duration * self.sample_rate)
-        if len(self.samples) != expected:
-            raise ValueError(f"expected {expected} samples, got {len(self.samples)}")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.samples, dtype=complex)
-
-
-def synthesize_pulse(key: RotationKey, config: PulseConfig = PulseConfig()) -> PulseSpec:
-    """Deterministic Gaussian pulse for a canonical rotation key.
+def synthesize_pulse(key: RotationKey) -> np.ndarray:
+    """Deterministic Gaussian pulse for a canonical rotation key, read-only.
 
     sample[n] = (gamma/pi) * exp(-(t_n - T/2)^2 / (2 sigma^2)) * e^{i phi},
-    t_n = n / sample_rate, sigma = T/4.
+    t_n = n / SAMPLE_RATE, sigma = T/4.
     """
-    amplitude = key.gamma / math.pi
-    if abs(amplitude) > config.max_amplitude_ratio:
-        raise AmplitudeOverflow(
-            f"|gamma|/pi = {abs(amplitude):.6f} exceeds full scale ratio "
-            f"{config.max_amplitude_ratio}")
-    n = round(config.duration * config.sample_rate)
-    t = np.arange(n) / config.sample_rate
-    sigma = config.duration / 4
-    envelope = np.exp(-((t - config.duration / 2) ** 2) / (2 * sigma ** 2))
-    samples = amplitude * envelope * np.exp(1j * key.phi)
-    return PulseSpec(samples=tuple(samples.tolist()), duration=config.duration,
-                     sample_rate=config.sample_rate)
-
-
-@dataclass
-class QOSRegistry:
-    """Registry of supported rotations and their pulses.
-
-    Single-writer: callers must serialize mutations (dgs_scan).
-    """
-
-    config: PulseConfig = PulseConfig()
-    entries: dict = field(default_factory=dict)
-
-    def ensure(self, key: RotationKey) -> bool:
-        """Synthesize and store the pulse for ``key``; True if it was new."""
-        if key in self.entries:
-            return False
-        self.entries[key] = synthesize_pulse(key, self.config)
-        return True
+    samples = key.gamma / math.pi * _ENVELOPE * np.exp(1j * key.phi)
+    samples.setflags(write=False)
+    return samples
 
 
 def program_rotation_keys(program: QuantumProgram) -> set[RotationKey]:
@@ -103,12 +57,14 @@ def program_rotation_keys(program: QuantumProgram) -> set[RotationKey]:
     return {instr.key for instr in program.instructions() if isinstance(instr, Rxy)}
 
 
-def dgs_scan(program: QuantumProgram, qos: QOSRegistry) -> tuple[QOSRegistry, set]:
-    """Augment the registry with every rotation the program uses.
+def dgs_scan(program: QuantumProgram, qos: dict) -> tuple[dict, set]:
+    """Synthesize a pulse for every rotation of the program the registry lacks.
 
     Idempotent: scanning the same program twice yields an empty new-key set.
     """
-    new_keys = {key for key in program_rotation_keys(program) if qos.ensure(key)}
+    new_keys = {key for key in program_rotation_keys(program) if key not in qos}
+    for key in new_keys:
+        qos[key] = synthesize_pulse(key)
     return qos, new_keys
 
 
@@ -199,16 +155,6 @@ def _key_json(key: RotationKey) -> dict:
     return {"phi_over_pi": key.phi_over_pi, "gamma_over_pi": key.gamma_over_pi}
 
 
-def compute_mlst(program: QuantumProgram, rct: RCT) -> set[RotationKey]:
-    """Rotations required by the program but not loaded."""
-    return program_rotation_keys(program) - rct.resident_keys
-
-
-def compute_dlst(program: QuantumProgram, rct: RCT) -> set[RotationKey]:
-    """Rotations loaded but not used by the program."""
-    return rct.resident_keys - program_rotation_keys(program)
-
-
 def page_update(program: QuantumProgram, rct: RCT,
                 rng: np.random.Generator) -> tuple[RCT, PageReport]:
     """Make every rotation of ``program`` resident, evicting randomly from the DLST.
@@ -268,14 +214,13 @@ def assign_codewords(program: QuantumProgram, rct: RCT) -> list[int]:
     return stream
 
 
-def export_pulse_library(rct: RCT, qos: QOSRegistry) -> str:
+def export_pulse_library(rct: RCT, qos: dict) -> str:
     """JSON map codeword -> {phi_over_pi, gamma_over_pi, samples: [[re, im], ...]}."""
     lib = {}
     for codeword in sorted(rct.resident):
         key = rct.resident[codeword]
-        pulse = qos.entries[key]
         lib[str(codeword)] = {
             **_key_json(key),
-            "samples": [[s.real, s.imag] for s in pulse.samples],
+            "samples": qos[key].view(float).reshape(-1, 2).tolist(),
         }
     return json.dumps(lib, indent=2, sort_keys=True)

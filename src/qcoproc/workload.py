@@ -44,13 +44,17 @@ class DisorderRealization:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValidationError("tau must be positive")
+        # written so that NaN fails every check
+        if not math.isfinite(self.w):
+            raise ValidationError(f"w must be finite, got {self.w}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
         if self.n_steps < 0:
             raise ValidationError("n_steps must be >= 0")
         for name in ("h0x", "h0y", "h1x", "h1y"):
-            if abs(getattr(self, name)) > 1.0:
-                raise ValidationError(f"{name} must lie in [-1, 1]")
+            h = getattr(self, name)
+            if not -1.0 <= h <= 1.0:
+                raise ValidationError(f"{name} must lie in [-1, 1], got {h}")
 
     def to_json_dict(self) -> dict:
         return {"w": self.w, "seed": self.seed, "h0x": self.h0x, "h0y": self.h0y,
@@ -130,7 +134,8 @@ def build_native_circuit(r: DisorderRealization, k: int) -> QuantumProgram:
     is 10 Rxy + 4 cZ, the epilogue rotates back before parallel measurement.
     """
     _check_step(r, k)
-    slots = _RESETS + (_PROLOGUE,) + _interval_slots(r) * k + (_EPILOGUE, _MEASURE)
+    interval = _interval_slots(r) if k else ()
+    slots = _RESETS + (_PROLOGUE,) + interval * k + (_EPILOGUE, _MEASURE)
     return QuantumProgram(n_qubits=2, slots=slots)
 
 
@@ -368,7 +373,7 @@ def paged_programs(config: ExperimentConfig):
     ``(w, i, r, k, report)``.  Deterministic for a given master seed.
     """
     rct = wavemem.RCT(capacity=config.capacity)
-    qos = wavemem.QOSRegistry()
+    qos: dict = {}
     evict_rng = np.random.default_rng(derive_seed(config.master_seed, 0xE, 0xE))
     for w_index, w in enumerate(config.w_values):
         for i in range(config.n_realizations):

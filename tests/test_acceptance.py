@@ -282,8 +282,8 @@ def test_criterion_6_paging_invariants(default_experiment):
         needed = wavemem.program_rotation_keys(program)
         if len(rct.resident) == rct.capacity:
             table_full_seen = True
-            mlst = wavemem.compute_mlst(program, rct)
-            dlst = wavemem.compute_dlst(program, rct)
+            mlst = needed - rct.resident_keys
+            dlst = rct.resident_keys - needed
             assert len(mlst) <= len(dlst)
         _, rep = wavemem.page_update(program, rct, rng_evict)
         assert needed <= rct.resident_keys

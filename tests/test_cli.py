@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qcoproc import cli, workload
+from qcoproc import cli, isa, workload
 from qcoproc.workload import gate_census
 
 REPO = Path(__file__).resolve().parent.parent
@@ -133,6 +133,13 @@ class TestRun:
         first = capsys.readouterr().out
         run_cli("run", str(circ), "--mode", "sampled", "--n-avg", "50", "--seed", "9")
         assert capsys.readouterr().out == first
+
+    def test_slot_unitary_cache_stays_bounded(self, tmp_path):
+        """Each 1 MiB slot unitary of an 8-qubit program is cached, at most 16 of them."""
+        lines = [f"rxy q7, 0, {0.001 * (i + 1):.3f}" for i in range(300)]
+        circ = _text_file(tmp_path, "\n".join(lines) + "\nmeasure q7 -> a\n", "p.qasm")
+        assert run_cli("run", str(circ)) == 0
+        assert isa._slot_unitary_cached.cache_info().currsize <= 16
 
 
 class TestExperiment:
@@ -340,6 +347,12 @@ INVALID_INPUTS = {
         t, "rxy q0, 0, inf\nmeasure q0 -> a\n", "p.qasm")], 2),
     "compile-angle-nan": (lambda t: ["compile", _text_file(t, "rx q0, nan\n", "p.src")], 2),
     "gen-w-nan": (lambda t: ["gen", "--w", "nan", "--k", "1", "--seed", "3"], 3),
+    # at k = 0 no interval is built, so the realization itself must reject NaN
+    "gen-k0-tau-nan": (lambda t: ["gen", "--w", "25", "--k", "0", "--tau-over-pi", "nan",
+                                  "--seed", "1"], 3),
+    "gen-k0-w-nan": (lambda t: ["gen", "--w", "nan", "--k", "0", "--seed", "1"], 3),
+    "gen-k0-h0x-nan": (lambda t: ["gen", "--w", "25", "--k", "0", "--seed", "1",
+                                  "--h0x", "nan"], 3),
     "trajectory-phi-nan": (lambda t: ["trajectory", "--phi-over-pi", "nan",
                                       "--gamma-over-pi", "1"], 3),
     # a repeated w would key two sweeps into one series

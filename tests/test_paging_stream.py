@@ -24,7 +24,7 @@ def _configs(draw):
 def _per_program_replay(config: ExperimentConfig):
     """Build, scan and page ``build_native_circuit(r, k)`` for every (w, i, k)."""
     rct = wavemem.RCT(capacity=config.capacity)
-    qos = wavemem.QOSRegistry()
+    qos: dict = {}
     evict_rng = np.random.default_rng(derive_seed(config.master_seed, 0xE, 0xE))
     for w_index, w in enumerate(config.w_values):
         for i in range(config.n_realizations):

@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcoproc import workload
-from qcoproc.errors import AmplitudeOverflow, CapacityExceeded, NotResident
+from qcoproc.errors import CapacityExceeded, NotResident
 from qcoproc.isa import QuantumProgram, RotationKey, Rxy, slot
-from qcoproc.wavemem import (RCT, PulseConfig, QOSRegistry,
-                             assign_codewords, compute_dlst, compute_mlst,
-                             dgs_scan, export_pulse_library, page_update,
-                             program_rotation_keys, synthesize_pulse)
+from qcoproc.wavemem import (RCT, assign_codewords, dgs_scan, export_pulse_library,
+                             page_update, program_rotation_keys, synthesize_pulse)
 
 PI = math.pi
 TAU = 0.04 * PI
@@ -31,37 +31,51 @@ def realization(seed, w=25.0):
     return workload.sample_disorder(w, TAU, 10, rng, seed=seed)
 
 
+def mlst(program, rct):
+    """Rotations required by the program but not loaded."""
+    return program_rotation_keys(program) - rct.resident_keys
+
+
+def dlst(program, rct):
+    """Rotations loaded but not used by the program."""
+    return rct.resident_keys - program_rotation_keys(program)
+
+
 class TestSynthesizePulse:
     def test_zero_rotation_is_silence(self):
         pulse = synthesize_pulse(key(0, 0))
-        assert all(s == 0 for s in pulse.samples)
+        assert all(s == 0 for s in pulse)
 
-    def test_default_config_gives_20_samples(self):
-        assert len(synthesize_pulse(key(0, 1)).samples) == 20
+    def test_20_samples_read_only(self):
+        pulse = synthesize_pulse(key(0, 1))
+        assert len(pulse) == 20
+        assert not pulse.flags.writeable
 
     def test_phase_factor_multiplies_samples(self):
-        base = synthesize_pulse(key(0, 1)).as_array()
-        rotated = synthesize_pulse(key(0.5, 1)).as_array()
+        base = synthesize_pulse(key(0, 1))
+        rotated = synthesize_pulse(key(0.5, 1))
         np.testing.assert_allclose(rotated, 1j * base, atol=1e-15)
 
     def test_amplitude_scales_with_gamma(self):
-        half = synthesize_pulse(key(0, 0.5)).as_array()
-        full = synthesize_pulse(key(0, 1)).as_array()
+        half = synthesize_pulse(key(0, 0.5))
+        full = synthesize_pulse(key(0, 1))
         np.testing.assert_allclose(full, 2 * half, atol=1e-15)
         assert np.max(np.abs(full)) == pytest.approx(1.0)  # unit-peak envelope
 
     def test_deterministic(self):
         a = synthesize_pulse(key(0.3, 1.7))
         b = synthesize_pulse(key(0.3, 1.7))
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
-    def test_overflow_beyond_full_scale_ratio(self):
-        cfg = PulseConfig(max_amplitude_ratio=1.0)
-        with pytest.raises(AmplitudeOverflow):
-            synthesize_pulse(key(0, 1.5), cfg)
-        # default ratio 2 covers the full canonical gamma range
-        assert np.max(np.abs(synthesize_pulse(key(0, 2.0)).as_array())) \
-            == pytest.approx(2.0)
+    def test_full_canonical_gamma_is_twice_full_scale(self):
+        assert np.max(np.abs(synthesize_pulse(key(0, 2.0)))) == pytest.approx(2.0)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_canonical_key_never_exceeds_twice_full_scale(self, phi, gamma):
+        """A canonical gamma lies in (-2 pi, 2 pi], so |gamma|/pi <= 2."""
+        assert np.max(np.abs(synthesize_pulse(RotationKey.make(phi, gamma)))) \
+            <= 2 + 1e-12
 
 
 FIXED_KEYS = {key(0, 0.5), key(0, -0.5), key(0.5, -0.5), key(1.54, 1.0),
@@ -70,17 +84,19 @@ FIXED_KEYS = {key(0, 0.5), key(0, -0.5), key(0.5, -0.5), key(1.54, 1.0),
 
 class TestDgsScan:
     def test_empty_program_no_new_keys(self):
-        qos = QOSRegistry()
+        qos = {}
         _, new = dgs_scan(QuantumProgram(1, ()), qos)
-        assert new == set() and qos.entries == {}
+        assert new == set() and qos == {}
 
     def test_repeated_rotation_deduplicated(self):
         program = QuantumProgram(1, tuple(slot(Rxy(0, key(0, 0.5))) for _ in range(5)))
-        _, new = dgs_scan(program, QOSRegistry())
+        qos = {}
+        _, new = dgs_scan(program, qos)
         assert len(new) == 1
+        np.testing.assert_array_equal(qos[key(0, 0.5)], synthesize_pulse(key(0, 0.5)))
 
     def test_idempotent(self):
-        qos = QOSRegistry()
+        qos = {}
         program = native(realization(1), 3)
         _, first = dgs_scan(program, qos)
         _, second = dgs_scan(program, qos)
@@ -89,9 +105,7 @@ class TestDgsScan:
     def test_seeded_fixed_angles_leave_only_disorder(self):
         """Against a registry holding the fixed pulses, a fresh realization
         introduces exactly its disorder-dependent rotations."""
-        qos = QOSRegistry()
-        for k_ in FIXED_KEYS | {key(0.5, 0.5)}:
-            qos.ensure(k_)
+        qos = {k_: synthesize_pulse(k_) for k_ in FIXED_KEYS | {key(0.5, 0.5)}}
         r = realization(7)
         _, new = dgs_scan(native(r, 10), qos)
         expected = {
@@ -113,22 +127,24 @@ class TestMlstDlst:
         program = native(realization(1), 2)
         rct = RCT(capacity=16)
         needed = program_rotation_keys(program)
-        assert compute_mlst(program, rct) == needed
-        assert compute_dlst(program, rct) == set()
+        assert mlst(program, rct) == needed
+        assert dlst(program, rct) == set()
 
     def test_exact_match_leaves_both_empty(self):
         program = native(realization(1), 2)
         rct = RCT(capacity=16)
         page_update(program, rct, np.random.default_rng(0))
-        assert compute_mlst(program, rct) == set()
-        assert compute_dlst(program, rct) == set()
+        assert mlst(program, rct) == set()
+        assert dlst(program, rct) == set()
 
     def test_set_algebra(self):
         a, b, c, d = key(0, 0.1), key(0, 0.2), key(0, 0.3), key(0, 0.4)
         rct = RCT(capacity=4, resident={0: a, 1: b, 2: c})
         program = QuantumProgram(1, (slot(Rxy(0, b)), slot(Rxy(0, d))))
-        assert compute_mlst(program, rct) == {d}
-        assert compute_dlst(program, rct) == {a, c}
+        assert mlst(program, rct) == {d}
+        assert dlst(program, rct) == {a, c}
+        _, report = page_update(program, rct, np.random.default_rng(0))
+        assert (report.mlst, report.dlst) == ({d}, {a, c})
 
 
 class TestPageUpdate:
@@ -209,10 +225,8 @@ class TestPageUpdate:
         page_update(native(realization(0), 10), rct, rng)
         for seed in range(1, 30):
             program = native(realization(seed), 10)
-            mlst = compute_mlst(program, rct)
-            dlst = compute_dlst(program, rct)
             assert len(rct.resident) == 10  # table stays full
-            assert len(mlst) <= len(dlst)
+            assert len(mlst(program, rct)) <= len(dlst(program, rct))
             page_update(program, rct, rng)
 
     def test_eviction_deterministic_under_seed(self):
@@ -281,7 +295,7 @@ class TestSerialization:
     def test_pulse_library_export(self):
         program = QuantumProgram(1, (slot(Rxy(0, key(0, 0.5))),))
         rct = RCT(capacity=4)
-        qos = QOSRegistry()
+        qos = {}
         dgs_scan(program, qos)
         page_update(program, rct, np.random.default_rng(0))
         lib = json.loads(export_pulse_library(rct, qos))
@@ -296,7 +310,7 @@ class TestExperimentReplay:
     def test_loads_and_hits_account_exactly(self):
         """Replaying many program loads: per-run loads + hits = needed."""
         rct = RCT(capacity=12)
-        qos = QOSRegistry()
+        qos = {}
         rng = np.random.default_rng(99)
         total_loads = 0
         for seed in range(20):

@@ -55,6 +55,16 @@ class TestSampleDisorder:
             DisorderRealization(w=1, tau=DEFAULT_TAU, n_steps=1,
                                 h0x=1.5, h0y=0, h1x=0, h1y=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("w", math.nan), ("w", math.inf), ("tau", math.nan), ("tau", math.inf),
+        ("tau", 0.0), ("h0x", math.nan), ("h0y", math.nan), ("h1x", math.nan),
+        ("h1y", -1.5)])
+    def test_non_finite_or_out_of_range_field_named(self, field, value):
+        """NaN passes a bare `tau <= 0` or `abs(h) > 1` check, so each is rejected here."""
+        fields = dict(w=1.0, tau=DEFAULT_TAU, n_steps=1, h0x=0.0, h0y=0.0, h1x=0.0, h1y=0.0)
+        with pytest.raises(ValidationError, match=f"^{field} must"):
+            DisorderRealization(**{**fields, field: value})
+
 
 class TestSourceCircuit:
     def test_step_zero_is_prologue_and_measure(self):
