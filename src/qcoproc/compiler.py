@@ -185,22 +185,36 @@ def _lower_gate(gate) -> list:
     raise UnsupportedGate(f"cannot lower {gate!r}")
 
 
-def lower(source: SourceProgram | QuantumProgram) -> QuantumProgram:
-    """Replace every source gate by its native decomposition.
+def _map_slots(slots, gate_map) -> list[TimeSlot]:
+    """Replace every gate by ``gate_map(gate)``, a list in execution order.
 
-    Parallel slots are kept intact when every gate maps to one instruction;
-    otherwise the slot is serialized gate by gate (disjoint qubits commute, so
-    the circuit unitary is unchanged).
+    A slot is kept intact when every gate maps to one gate; otherwise it is
+    serialized gate by gate (disjoint qubits commute, so the circuit unitary
+    is unchanged).  Each distinct slot object is mapped once and a repeated
+    one reuses its output slots.  The memo is keyed by identity, not
+    equality, because equal slots can still print differently (angles 0.0
+    and -0.0 compare equal); :func:`~qcoproc.isa.parse_slots` returns one
+    object per distinct line, so a parsed program repeats its objects.
     """
-    out_slots: list[TimeSlot] = []
-    for s in source.slots:
-        lowered = [_lower_gate(g) for g in s.instructions]
-        if all(len(seq) == 1 for seq in lowered):
-            out_slots.append(TimeSlot(tuple(seq[0] for seq in lowered)))
-        else:
-            for seq in lowered:
-                out_slots.extend(TimeSlot((instr,)) for instr in seq)
-    return QuantumProgram(n_qubits=source.n_qubits, slots=tuple(out_slots))
+    mapped: dict[int, list[TimeSlot]] = {}
+    out: list[TimeSlot] = []
+    for s in slots:
+        new = mapped.get(id(s))
+        if new is None:
+            seqs = [gate_map(g) for g in s.instructions]
+            if all(len(seq) == 1 for seq in seqs):
+                new = [TimeSlot(tuple(seq[0] for seq in seqs))]
+            else:
+                new = [TimeSlot((g,)) for seq in seqs for g in seq]
+            mapped[id(s)] = new
+        out.extend(new)
+    return out
+
+
+def lower(source: SourceProgram | QuantumProgram) -> QuantumProgram:
+    """Replace every source gate by its native decomposition (see :func:`_map_slots`)."""
+    return QuantumProgram(n_qubits=source.n_qubits,
+                          slots=tuple(_map_slots(source.slots, _lower_gate)))
 
 
 # --- frame rotation --------------------------------------------------------------
@@ -261,15 +275,7 @@ def frame_rotate_z_to_y(source: SourceProgram) -> SourceProgram:
             phase = "body"
             body.append(s)
 
-    rotated: list[TimeSlot] = []
-    for s in body:
-        conj = [_conjugate_gate(g) for g in s.instructions]
-        if all(len(seq) == 1 for seq in conj):
-            rotated.append(TimeSlot(tuple(seq[0] for seq in conj)))
-        else:
-            for seq in conj:
-                rotated.extend(TimeSlot((g,)) for g in seq)
-
+    rotated = _map_slots(body, _conjugate_gate)
     qs = range(source.n_qubits)
     enter = TimeSlot(tuple(Rx(q, -HALF_PI) for q in qs))
     leave = TimeSlot(tuple(Rx(q, HALF_PI) for q in qs))
@@ -288,14 +294,18 @@ def schedule(program: QuantumProgram) -> QuantumProgram:
     restricted to slots made purely of Rxy instructions).
     """
     out: list[list] = []
+    open_qubits: set[int] | None = None  # qubits of out[-1] while it is all Rxy
     for s in program.slots:
         for instr in s.instructions:
-            if (isinstance(instr, Rxy) and out
-                    and all(isinstance(prev, Rxy) for prev in out[-1])
-                    and all(instr.qubit not in prev.qubits for prev in out[-1])):
+            if not isinstance(instr, Rxy):
+                out.append([instr])
+                open_qubits = None
+            elif open_qubits is not None and instr.qubit not in open_qubits:
                 out[-1].append(instr)
+                open_qubits.add(instr.qubit)
             else:
                 out.append([instr])
+                open_qubits = {instr.qubit}
     return QuantumProgram(n_qubits=program.n_qubits,
                           slots=tuple(TimeSlot(tuple(group)) for group in out))
 

@@ -141,6 +141,8 @@ class TimeSlot:
     instructions: tuple
 
     def __post_init__(self):
+        if len(self.instructions) < 2:
+            return  # the two-operand gates (cz, cnot, crx) reject a repeated qubit
         seen: set[int] = set()
         for instr in self.instructions:
             for q in instr.qubits:
@@ -291,7 +293,7 @@ MAX_QUBITS = 8
 
 def _parse_qubit(tok: str, line: int) -> int:
     tok = tok.strip()
-    if not tok.startswith("q") or not tok[1:].isdigit():
+    if not tok.startswith("q") or not (tok[1:].isascii() and tok[1:].isdigit()):
         raise ParseError(f"expected qubit operand, got {tok!r}", line)
     return int(tok[1:])
 
@@ -341,32 +343,43 @@ def parse_slots(text: str, statement_parser=_parse_statement) -> tuple[int, tupl
     """Parse assembly text into (n_qubits, slots).
 
     ``statement_parser`` is an extension hook used by the compiler module to
-    accept source-level mnemonics through the same slot grammar.
+    accept source-level mnemonics through the same slot grammar.  It must be
+    pure, a function of the statement text alone (the line number only goes
+    into error messages): each distinct line is parsed once, and a repeated
+    line reuses the slot object its first occurrence parsed to.
     """
     slots: list[TimeSlot] = []
+    parsed: dict[str, TimeSlot] = {}
     max_q = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if stripped.startswith("{"):
-            if not stripped.endswith("}"):
-                raise ParseError("parallel slot must close on the same line", lineno)
-            body = stripped[1:-1].strip()
-            stmts = [s for s in (p.strip() for p in body.split("|")) if s] if body else []
-            try:
-                instrs = tuple(statement_parser(s, lineno) for s in stmts)
-                slots.append(TimeSlot(instrs))
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-        else:
-            slots.append(TimeSlot((statement_parser(stripped, lineno),)))
-        for instr in slots[-1].instructions:
-            max_q = max(max_q, *instr.qubits)
-        if max_q >= MAX_QUBITS:
-            raise ValidationError(f"line {lineno}: qubit q{max_q} beyond the widest "
-                                  f"supported program, q0..q{MAX_QUBITS - 1}")
+        s = parsed.get(stripped)
+        if s is None:
+            s = _parse_line(stripped, lineno, statement_parser)
+            for instr in s.instructions:
+                max_q = max(max_q, *instr.qubits)
+            if max_q >= MAX_QUBITS:
+                raise ValidationError(f"line {lineno}: qubit q{max_q} beyond the widest "
+                                      f"supported program, q0..q{MAX_QUBITS - 1}")
+            parsed[stripped] = s
+        slots.append(s)
     return (max_q + 1 if max_q >= 0 else 0), tuple(slots)
+
+
+def _parse_line(stripped: str, lineno: int, statement_parser) -> TimeSlot:
+    """The slot of one non-empty, comment-free line: a statement or ``{ ... }``."""
+    if not stripped.startswith("{"):
+        return TimeSlot((statement_parser(stripped, lineno),))
+    if not stripped.endswith("}"):
+        raise ParseError("parallel slot must close on the same line", lineno)
+    body = stripped[1:-1].strip()
+    stmts = [s for s in (p.strip() for p in body.split("|")) if s] if body else []
+    try:
+        return TimeSlot(tuple(statement_parser(s, lineno) for s in stmts))
+    except ValidationError as exc:
+        raise ValidationError(f"line {lineno}: {exc}") from exc
 
 
 def parse_program(text: str) -> QuantumProgram:

@@ -168,26 +168,30 @@ def page_update(program: QuantumProgram, rct: RCT,
     if len(needed) > rct.capacity:
         raise CapacityExceeded(
             f"program needs {len(needed)} rotations, table holds {rct.capacity}")
-    mlst = frozenset(needed - rct.resident_keys)
-    dlst = frozenset(rct.resident_keys - needed)
+    # One copy of the table's keys; copying the dict reuses its stored hashes,
+    # where a set operation on its key view would hash every key again.
+    resident = frozenset(rct._by_key)
+    mlst = frozenset(needed - resident)
+    dlst = resident - needed
     hits = len(needed) - len(mlst)
 
     to_load = sorted_keys(mlst)
-    free = sorted(rct.free)
     evicted: list[RotationKey] = []
-    n_evict = max(0, len(to_load) - len(free))
-    if n_evict:
-        dlst_sorted = sorted_keys(dlst)
-        victims = rng.choice(len(dlst_sorted), size=n_evict, replace=False)
-        for victim in (dlst_sorted[i] for i in sorted(victims.tolist())):
-            codeword = rct.codeword_of(victim)
-            rct._evict(codeword)
-            free.append(codeword)
-            evicted.append(victim)
-        free.sort()
-    for key, codeword in zip(to_load, free):
-        rct._store(codeword, key)
-    rct.load_counter += len(to_load)
+    if to_load:
+        free = sorted(rct.free)
+        n_evict = max(0, len(to_load) - len(free))
+        if n_evict:
+            dlst_sorted = sorted_keys(dlst)
+            victims = rng.choice(len(dlst_sorted), size=n_evict, replace=False)
+            for victim in (dlst_sorted[i] for i in sorted(victims.tolist())):
+                codeword = rct.codeword_of(victim)
+                rct._evict(codeword)
+                free.append(codeword)
+                evicted.append(victim)
+            free.sort()
+        for key, codeword in zip(to_load, free):
+            rct._store(codeword, key)
+        rct.load_counter += len(to_load)
 
     report = PageReport(mlst=mlst, dlst=dlst, evicted=tuple(evicted),
                         loaded=tuple(to_load), hits=hits,

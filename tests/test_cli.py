@@ -392,6 +392,13 @@ INVALID_INPUTS = {
     # a qubit index too wide for the dense backends and the equivalence check
     "run-qubit-40": (lambda t: ["run", _text_file(t, "rxy q40, 0, 1\n", "p.qasm")], 3),
     "compile-qubit-40": (lambda t: ["compile", _text_file(t, "rxy q40, 0, 1\n", "p.src")], 3),
+    # a qubit index in digits other than ASCII ones, which str.isdigit accepts
+    "run-qubit-superscript-digit": (lambda t: ["run", _bytes_file(
+        t, "rxy q\u00b2, 0, 1\n".encode(), "p.qasm")], 2),
+    "compile-qubit-superscript-digit": (lambda t: ["compile", _bytes_file(
+        t, "rx q\u00b2, 1\n".encode(), "p.src")], 2),
+    "compile-qubit-arabic-indic-digit": (lambda t: ["compile", _bytes_file(
+        t, "rx q\u0663, 1\n".encode(), "p.src")], 2),
     # noise times on the ideal backend, which has no noise to apply them to
     "run-ideal-t1-t2": (lambda t: ["run", _program_file(t), "--backend", "ideal",
                                    "--t1", "1e-6", "--t2", "1e-6"], 3),

@@ -1,0 +1,216 @@
+"""The parser and the compiler passes do each distinct line and slot once.
+
+``parse_slots`` reuses the slot a repeated line parsed to, ``lower`` and
+``frame_rotate_z_to_y`` reuse the output of a repeated slot object, and
+``schedule`` tracks the qubits of its open group.  The references below are
+the plain passes, one gate and one slot at a time with nothing reused; the
+memoized passes must equal them and print the same bytes.  Programs are drawn
+from small pools of slot objects and lines, so slots and lines repeat, and the
+pools hold equal slots that print differently (angles 0.0 and -0.0).
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcoproc import compiler, isa
+from qcoproc.compiler import (CNOT, PASSES, CRx, Rx, Ry, Rz, SourceProgram,
+                              emit_source_program, frame_rotate_z_to_y, lower,
+                              parse_source_program, run_passes, schedule)
+from qcoproc.errors import ParseError, UnsupportedGate, ValidationError
+from qcoproc.isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy,
+                         TimeSlot, emit_program, parse_program, slot)
+
+PI = math.pi
+
+
+# --- references: the passes with nothing reused -----------------------------------
+
+
+def reference_lower(source) -> QuantumProgram:
+    out_slots = []
+    for s in source.slots:
+        lowered = [compiler._lower_gate(g) for g in s.instructions]
+        if all(len(seq) == 1 for seq in lowered):
+            out_slots.append(TimeSlot(tuple(seq[0] for seq in lowered)))
+        else:
+            for seq in lowered:
+                out_slots.extend(TimeSlot((instr,)) for instr in seq)
+    return QuantumProgram(n_qubits=source.n_qubits, slots=tuple(out_slots))
+
+
+def reference_frame_rotate(source: SourceProgram) -> SourceProgram:
+    phase = "resets"
+    head, body, tail = [], [], []
+    for s in source.slots:
+        kinds = {type(i) for i in s.instructions}
+        if kinds <= {Reset}:
+            if phase != "resets":
+                raise UnsupportedGate("reset after the program prologue")
+            head.append(s)
+        elif kinds <= {Measure}:
+            phase = "measures"
+            tail.append(s)
+        elif Measure in kinds or Reset in kinds:
+            raise UnsupportedGate("slot mixes measurement/reset with gates")
+        else:
+            if phase == "measures":
+                raise UnsupportedGate("gate after measurement")
+            phase = "body"
+            body.append(s)
+    rotated = []
+    for s in body:
+        conj = [compiler._conjugate_gate(g) for g in s.instructions]
+        if all(len(seq) == 1 for seq in conj):
+            rotated.append(TimeSlot(tuple(seq[0] for seq in conj)))
+        else:
+            for seq in conj:
+                rotated.extend(TimeSlot((g,)) for g in seq)
+    qs = range(source.n_qubits)
+    enter = TimeSlot(tuple(Rx(q, -PI / 2) for q in qs))
+    leave = TimeSlot(tuple(Rx(q, PI / 2) for q in qs))
+    slots = tuple(head) + (enter,) + tuple(rotated) + (leave,) + tuple(tail)
+    return SourceProgram(n_qubits=source.n_qubits, slots=slots, frame="y")
+
+
+def reference_schedule(program: QuantumProgram) -> QuantumProgram:
+    out = []
+    for s in program.slots:
+        for instr in s.instructions:
+            if (isinstance(instr, Rxy) and out
+                    and all(isinstance(prev, Rxy) for prev in out[-1])
+                    and all(instr.qubit not in prev.qubits for prev in out[-1])):
+                out[-1].append(instr)
+            else:
+                out.append([instr])
+    return QuantumProgram(n_qubits=program.n_qubits,
+                          slots=tuple(TimeSlot(tuple(group)) for group in out))
+
+
+def reference_passes(program) -> QuantumProgram:
+    return reference_schedule(reference_lower(reference_frame_rotate(program)))
+
+
+# --- pools --------------------------------------------------------------------------
+
+ANGLES = (0.0, -0.0, 0.25 * PI, -0.5 * PI, PI)
+KEYS = tuple(RotationKey.from_pi_units(phi, gamma)
+             for phi in (0.0, 0.5, 1.5) for gamma in (0.5, -1.0))
+SINGLE_GATES = ([cls(q, a) for cls in (Rx, Ry, Rz) for q in (0, 1) for a in ANGLES]
+                + [Rxy(q, key) for q in (0, 1) for key in KEYS])
+# one slot object per entry: equal entries (0.0 and -0.0) stay distinct objects
+BODY_SLOTS = ([slot(g) for g in SINGLE_GATES]
+              + [slot(CNOT(1, 0)), slot(CNOT(0, 1)), slot(CRx(0.5 * PI, 0, 1)),
+                 slot(CRx(-0.25 * PI, 1, 0)), slot(CZ(0, 1)), slot(CZ(1, 0))]
+              + [slot(a, b) for a in SINGLE_GATES[:6] for b in SINGLE_GATES[-6:]
+                 if a.qubits != b.qubits])
+HEAD_SLOTS = [slot(Reset(0)), slot(Reset(1)), slot(Reset(0), Reset(1))]
+TAIL_SLOTS = [slot(Measure(0, "a")), slot(Measure(1, "b")),
+              slot(Measure(0, "a"), Measure(1, "b"))]
+NATIVE_SLOTS = ([slot(Rxy(q, key)) for q in (0, 1) for key in KEYS]
+                + [slot(Rxy(0, KEYS[0]), Rxy(1, KEYS[3])), slot(CZ(0, 1)),
+                   slot(Measure(0, "m")), slot(Reset(1))])
+SOURCE_LINES = ["rx q0, 0.25", "rx q0, 0.25  # same slot, other text", "ry q1, -0.0",
+                "ry q1, 0", "rz q0, 0.0", "rz q0, -0.5", "cnot q1, q0", "cnot q0, q1",
+                "crx q0, q1, 0.5", "cz q0, q1", "rxy q1, 0.5, -1", "rxy q0, 1.5, 0.5",
+                "{ rx q0, 1 | rz q1, 0.25 }", "{ ry q0, -0.0 | rxy q1, 0, 0.5 }"]
+
+
+def _width(slots) -> int:
+    return 1 + max((q for s in slots for i in s.instructions for q in i.qubits), default=-1)
+
+
+@st.composite
+def source_programs(draw) -> SourceProgram:
+    slots = (draw(st.lists(st.sampled_from(HEAD_SLOTS), max_size=2))
+             + draw(st.lists(st.sampled_from(BODY_SLOTS), min_size=1, max_size=40))
+             + draw(st.lists(st.sampled_from(TAIL_SLOTS), max_size=2)))
+    return SourceProgram(n_qubits=_width(slots), slots=tuple(slots))
+
+
+@st.composite
+def native_programs(draw) -> QuantumProgram:
+    slots = draw(st.lists(st.sampled_from(NATIVE_SLOTS), min_size=1, max_size=40))
+    return QuantumProgram(n_qubits=_width(slots), slots=tuple(slots))
+
+
+def assert_same_source(got, want):
+    assert got == want
+    assert emit_source_program(got) == emit_source_program(want)
+
+
+def assert_same_native(got, want):
+    assert got == want
+    assert emit_program(got) == emit_program(want)
+
+
+# --- the passes equal their references ---------------------------------------------
+
+
+@given(source_programs())
+@settings(max_examples=150, deadline=None)
+def test_each_pass_and_the_chain_equal_the_references(source):
+    assert_same_source(frame_rotate_z_to_y(source), reference_frame_rotate(source))
+    assert_same_native(lower(source), reference_lower(source))
+    lowered = reference_lower(source)
+    assert_same_native(schedule(lowered), reference_schedule(lowered))
+    assert_same_native(run_passes(source, PASSES), reference_passes(source))
+
+
+@given(native_programs())
+@settings(max_examples=150, deadline=None)
+def test_schedule_equals_the_reference_on_native_programs(program):
+    assert_same_native(schedule(program), reference_schedule(program))
+
+
+@given(st.lists(st.sampled_from(SOURCE_LINES), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_parsed_text_compiles_like_the_references(lines):
+    parsed = parse_source_program("\n".join(lines) + "\n")
+    # a one-line program repeats nothing, so its slot is parsed afresh
+    fresh = tuple(parse_source_program(line).slots[0] for line in lines)
+    assert parsed.slots == fresh
+    assert emit_source_program(parsed) == emit_source_program(
+        SourceProgram(parsed.n_qubits, fresh))
+    assert_same_source(frame_rotate_z_to_y(parsed), reference_frame_rotate(parsed))
+    assert_same_native(run_passes(parsed, PASSES), reference_passes(parsed))
+
+
+# --- text round trips ---------------------------------------------------------------
+
+
+@given(native_programs())
+@settings(max_examples=150, deadline=None)
+def test_native_round_trip(program):
+    assert parse_program(emit_program(program)) == program
+
+
+@given(source_programs())
+@settings(max_examples=150, deadline=None)
+def test_source_round_trip(source):
+    text = emit_source_program(source)
+    again = parse_source_program(text)
+    assert again == source
+    assert emit_source_program(again) == text
+
+
+# --- errors name the first offending line ------------------------------------------
+
+
+@pytest.mark.parametrize("parse", [parse_program, parse_source_program])
+def test_bad_statement_repeated_reports_its_first_line(parse):
+    lines = ["reset q0", "cz q0, q1", "bogus q0", "reset q0",
+             "cz q0, q1", "reset q1", "bogus q0"]
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines) + "\n")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("parse", [parse_program, parse_source_program])
+def test_repeated_slot_beyond_q7_raises_on_its_first_occurrence(parse):
+    wide = f"{{ reset q0 | reset q{isa.MAX_QUBITS} }}"
+    text = "\n".join(["reset q0", "reset q1", wide, "reset q0", wide]) + "\n"
+    with pytest.raises(ValidationError, match="^line 3: "):
+        parse(text)
