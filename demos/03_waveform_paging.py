@@ -38,7 +38,7 @@ print(f"codeword stream length for the last program: {len(stream)} "
       f"(104 rotations + 40 cZ + 2 resets + 2 measures)")
 
 # one synthesized pulse, in the clear
-key = sorted(report.loaded, key=lambda k: k.sort_index())[0]
+key = min(report.loaded)
 pulse = qos[key]
 print(f"\npulse for phi={key.phi_over_pi}*pi, gamma={key.gamma_over_pi}*pi "
       f"({len(pulse)} samples at {wavemem.SAMPLE_RATE / 1e9:.0f} GS/s):")

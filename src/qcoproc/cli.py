@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, compiler, isa, simulator, wavemem, workload
+from . import __version__, compiler, isa, simulator, workload
 from .errors import (CapacityExceeded, GoldenConfigError, GoldenMismatch,
                      NonUnitarySlot, ParseError, QcoprocError, ValidationError)
 
@@ -98,16 +98,18 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.mode != "sampled" and (args.seed is not None or args.n_avg is not None):
+        raise ValidationError("--seed and --n-avg apply only to --mode sampled")
+    n_avg = 1000 if args.n_avg is None else args.n_avg
     program = isa.parse_program(_read_text(args.infile))
     if args.backend == "ideal":
         if args.t1 is not None or args.t2 is not None:
             raise ValidationError("--t1 and --t2 apply only to --backend noisy")
-        record = simulator.run_ideal(program, mode=args.mode, n_avg=args.n_avg,
-                                     seed=args.seed)
+        record = simulator.run_ideal(program, mode=args.mode, n_avg=n_avg, seed=args.seed)
     else:
         noise = _noise_from_args(args)
         record = simulator.run_noisy(program, noise, mode=args.mode,
-                                     n_avg=args.n_avg, seed=args.seed)
+                                     n_avg=n_avg, seed=args.seed)
     text = json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _output(text, args.out)
     return 0
@@ -260,13 +262,13 @@ def paging_report_text(config: workload.ExperimentConfig) -> str:
         total_loads += len(report.loaded)
         total_hits += report.hits
         runs.append(f'    {{\n'
-                    f'      "dlst": {keys(wavemem.sorted_keys(report.dlst))},\n'
+                    f'      "dlst": {keys(sorted(report.dlst))},\n'
                     f'      "evicted": {keys(report.evicted)},\n'
                     f'      "hits": {report.hits},\n'
                     f'      "k": {k},\n'
                     f'      "load_counter": {report.load_counter},\n'
                     f'      "loaded": {keys(report.loaded)},\n'
-                    f'      "mlst": {keys(wavemem.sorted_keys(report.mlst))},\n'
+                    f'      "mlst": {keys(sorted(report.mlst))},\n'
                     f'      "realization": {i},\n'
                     f'      "w": {float.__repr__(float(w))}\n'
                     f'    }}')
@@ -311,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("infile")
     p.add_argument("--backend", choices=("ideal", "noisy"), default="ideal")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--n-avg", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n-avg", type=int, default=None,
+                   help="shots in sampled mode (default: 1000)")
+    p.add_argument("--seed", type=int, default=None, help="shot seed in sampled mode")
     p.add_argument("--t1", type=float, nargs="+", default=None)
     p.add_argument("--t2", type=float, nargs="+", default=None)
     p.add_argument("--out", default=None)

@@ -329,11 +329,9 @@ def equivalence_check(U: np.ndarray, V: np.ndarray, tol: float = 1e-10) -> Equiv
 
 
 def source_program_unitary(program: SourceProgram | QuantumProgram) -> np.ndarray:
-    """Whole-circuit unitary; raises NonUnitarySlot on measure/reset."""
-    n = program.n_qubits
-    return isa.ordered_product((isa.instruction_unitary(instr, n)
-                                for gate in program.instructions()
-                                for instr in _lower_gate(gate)), 1 << n)
+    """Whole-circuit unitary of the lowered program; raises NonUnitarySlot on
+    measure/reset."""
+    return isa.program_segment_unitary(lower(program))
 
 
 # --- pass pipeline and extended assembly -------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +34,13 @@ def _quantize(angle_over_pi: float) -> float:
     return 0.0 if q == 0.0 else q  # normalize -0.0
 
 
-@dataclass(frozen=True)
-class RotationKey:
+class RotationKey(NamedTuple):
     """Canonicalized (phi, gamma) pair identifying one single-qubit rotation.
 
     Construct via :meth:`make` (or the radians properties); the stored fields
-    are in units of pi.
+    are in units of pi.  As a tuple a key hashes and compares in C, orders by
+    phi, then gamma (the codeword table's listing order), and ``_asdict()``
+    is its JSON object.
     """
 
     phi_over_pi: float
@@ -74,9 +76,6 @@ class RotationKey:
     def gamma(self) -> float:
         """Rotation angle in radians, in (-2*pi, 2*pi]."""
         return self.gamma_over_pi * math.pi
-
-    def sort_index(self) -> tuple[float, float]:
-        return (self.phi_over_pi, self.gamma_over_pi)
 
     def __repr__(self) -> str:
         return f"RotationKey({self.phi_over_pi!r}*pi, {self.gamma_over_pi!r}*pi)"

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -88,14 +89,6 @@ class RCT:
             raise ValueError("capacity must be positive")
         self._by_key = {key: cw for cw, key in self.resident.items()}
 
-    @property
-    def free(self) -> set[int]:
-        return set(range(self.capacity)) - set(self.resident)
-
-    @property
-    def resident_keys(self) -> set[RotationKey]:
-        return set(self._by_key)
-
     def codeword_of(self, key: RotationKey) -> int:
         try:
             return self._by_key[key]
@@ -137,22 +130,13 @@ class PageReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "mlst": [_key_json(k) for k in sorted_keys(self.mlst)],
-            "dlst": [_key_json(k) for k in sorted_keys(self.dlst)],
-            "evicted": [_key_json(k) for k in self.evicted],
-            "loaded": [_key_json(k) for k in self.loaded],
+            "mlst": [k._asdict() for k in sorted(self.mlst)],
+            "dlst": [k._asdict() for k in sorted(self.dlst)],
+            "evicted": [k._asdict() for k in self.evicted],
+            "loaded": [k._asdict() for k in self.loaded],
             "hits": self.hits,
             "load_counter": self.load_counter,
         }
-
-
-def sorted_keys(keys) -> list[RotationKey]:
-    """Rotations in the table's canonical order: by phi, then gamma."""
-    return sorted(keys, key=RotationKey.sort_index)
-
-
-def _key_json(key: RotationKey) -> dict:
-    return {"phi_over_pi": key.phi_over_pi, "gamma_over_pi": key.gamma_over_pi}
 
 
 def page_update(program: QuantumProgram, rct: RCT,
@@ -175,13 +159,16 @@ def page_update(program: QuantumProgram, rct: RCT,
     dlst = resident - needed
     hits = len(needed) - len(mlst)
 
-    to_load = sorted_keys(mlst)
+    to_load = sorted(mlst)
     evicted: list[RotationKey] = []
     if to_load:
-        free = sorted(rct.free)
-        n_evict = max(0, len(to_load) - len(free))
+        # The lowest free codewords, scanned for past the residents rather than
+        # taken from a set of all free ones, so a pass does not grow with capacity.
+        free = list(islice((cw for cw in range(rct.capacity) if cw not in rct.resident),
+                           len(to_load)))
+        n_evict = len(to_load) - len(free)
         if n_evict:
-            dlst_sorted = sorted_keys(dlst)
+            dlst_sorted = sorted(dlst)
             victims = rng.choice(len(dlst_sorted), size=n_evict, replace=False)
             for victim in (dlst_sorted[i] for i in sorted(victims.tolist())):
                 codeword = rct.codeword_of(victim)
@@ -224,7 +211,7 @@ def export_pulse_library(rct: RCT, qos: dict) -> str:
     for codeword in sorted(rct.resident):
         key = rct.resident[codeword]
         lib[str(codeword)] = {
-            **_key_json(key),
+            **key._asdict(),
             "samples": qos[key].view(float).reshape(-1, 2).tolist(),
         }
     return json.dumps(lib, indent=2, sort_keys=True)

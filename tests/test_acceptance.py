@@ -266,7 +266,7 @@ def test_criterion_6_paging_invariants(default_experiment):
     reports = [rep for *_, rep in workload.paged_programs(config)]
     total_loads = 0
     for rep in reports:
-        assert tuple(sorted(rep.mlst, key=RotationKey.sort_index)) == rep.loaded
+        assert tuple(sorted(rep.mlst)) == rep.loaded
         total_loads += len(rep.loaded)
     assert result.total_loads == total_loads
 
@@ -282,11 +282,12 @@ def test_criterion_6_paging_invariants(default_experiment):
         needed = wavemem.program_rotation_keys(program)
         if len(rct.resident) == rct.capacity:
             table_full_seen = True
-            mlst = needed - rct.resident_keys
-            dlst = rct.resident_keys - needed
+            resident = set(rct.resident.values())
+            mlst = needed - resident
+            dlst = resident - needed
             assert len(mlst) <= len(dlst)
         _, rep = wavemem.page_update(program, rct, rng_evict)
-        assert needed <= rct.resident_keys
+        assert needed <= set(rct.resident.values())
         assert len(rep.loaded) == len(rep.mlst)
     assert table_full_seen
 

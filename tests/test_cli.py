@@ -134,6 +134,17 @@ class TestRun:
         run_cli("run", str(circ), "--mode", "sampled", "--n-avg", "50", "--seed", "9")
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("flags", [["--seed", "7"], ["--n-avg", "1000"],
+                                       ["--mode", "exact", "--seed", "7", "--n-avg", "10"]])
+    def test_shot_flags_need_sampled_mode(self, tmp_path, capsys, flags):
+        assert run_cli("run", str(_program_file(tmp_path)), *flags) == 3
+        assert "--mode sampled" in capsys.readouterr().err
+
+    def test_sampled_mode_defaults_to_1000_shots(self, tmp_path, capsys):
+        assert run_cli("run", str(_program_file(tmp_path)), "--mode", "sampled",
+                       "--seed", "9") == 0
+        assert json.loads(capsys.readouterr().out)["n_avg"] == 1000
+
     def test_slot_unitary_cache_stays_bounded(self, tmp_path):
         """Each 1 MiB slot unitary of an 8-qubit program is cached, at most 16 of them."""
         lines = [f"rxy q7, 0, {0.001 * (i + 1):.3f}" for i in range(300)]
@@ -403,6 +414,9 @@ INVALID_INPUTS = {
     "run-ideal-t1-t2": (lambda t: ["run", _program_file(t), "--backend", "ideal",
                                    "--t1", "1e-6", "--t2", "1e-6"], 3),
     "run-default-backend-t1": (lambda t: ["run", _program_file(t), "--t1", "1e-6"], 3),
+    # shot flags in exact mode, which draws no shots
+    "run-exact-seed": (lambda t: ["run", _program_file(t), "--seed", "-5"], 3),
+    "run-exact-n-avg": (lambda t: ["run", _program_file(t), "--n-avg", "0"], 3),
 }
 
 

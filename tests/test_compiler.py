@@ -15,8 +15,8 @@ from qcoproc.compiler import (CNOT, CRx, Rx, Ry, Rz,
                               decompose_rz, equivalence_check, frame_rotate_z_to_y,
                               lower, parse_source_program, run_passes, schedule,
                               source_program_unitary)
-from qcoproc.errors import (DimensionMismatch, SameQubit, UnsupportedGate,
-                            ValidationError)
+from qcoproc.errors import (DimensionMismatch, NonUnitarySlot, SameQubit,
+                            UnsupportedGate, ValidationError)
 from qcoproc.isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy,
                          program_segment_unitary, slot)
 
@@ -52,6 +52,23 @@ def crx_ref(alpha: float, rotated: int, conditioning: int) -> np.ndarray:
         for rj in rows:
             U[ri, rj] = block[(ri >> rotated) & 1, (rj >> rotated) & 1]
     return U
+
+
+def ry_ref(t):
+    return np.array([[np.cos(t / 2), -np.sin(t / 2)],
+                     [np.sin(t / 2), np.cos(t / 2)]], dtype=complex)
+
+
+def source_gate_ref(gate) -> np.ndarray:
+    """4x4 oracle of one two-qubit-register source gate; qubit 0 is the LSB."""
+    if isinstance(gate, CNOT):
+        return cnot_ref(gate.target, gate.control)
+    if isinstance(gate, CRx):
+        return crx_ref(gate.angle, gate.rotated, gate.conditioning)
+    if isinstance(gate, CZ):
+        return np.diag([1, 1, 1, -1]).astype(complex)
+    U = {Rx: rx_ref, Ry: ry_ref, Rz: rz_ref}[type(gate)](gate.angle)
+    return np.kron(np.eye(2), U) if gate.qubit == 0 else np.kron(U, np.eye(2))
 
 
 def native_sequence_unitary(instructions, n_qubits=2) -> np.ndarray:
@@ -220,10 +237,17 @@ class TestLower:
                 else:
                     slots.append(slot(CZ(*rng.permutation(2).tolist())))
             src = SourceProgram(2, tuple(slots))
-            lowered = lower(src)
-            report = equivalence_check(source_program_unitary(src),
-                                       program_segment_unitary(lowered), tol=1e-9)
+            expected = np.eye(4, dtype=complex)
+            for gate in src.instructions():
+                expected = source_gate_ref(gate) @ expected
+            report = equivalence_check(source_program_unitary(src), expected, tol=1e-9)
             assert report.equivalent, report
+
+    def test_measure_or_reset_has_no_circuit_unitary(self):
+        for last in (Measure(0, "m"), Reset(1)):
+            src = SourceProgram(2, (slot(Rx(0, 0.3)), slot(CNOT(1, 0)), slot(last)))
+            with pytest.raises(NonUnitarySlot):
+                source_program_unitary(src)
 
 
 class TestSchedule:

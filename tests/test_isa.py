@@ -68,6 +68,41 @@ class TestRotationKey:
         assert a != b
 
 
+finite_keys = st.builds(RotationKey.make, st.floats(-50, 50), st.floats(-50, 50))
+# multiples of pi/4: many distinct angle pairs canonicalize to one key
+quarter_turn_keys = st.builds(lambda i, j: RotationKey.make(i * PI / 4, j * PI / 4),
+                              st.integers(-20, 20), st.integers(-20, 20))
+
+
+class TestRotationKeyValue:
+    """A key is a (phi_over_pi, gamma_over_pi) named tuple."""
+
+    @given(st.lists(finite_keys))
+    def test_sorted_is_by_phi_then_gamma(self, keys):
+        assert sorted(keys) == sorted(keys, key=lambda k: (k.phi_over_pi, k.gamma_over_pi))
+
+    @given(finite_keys)
+    def test_repr_form(self, key):
+        assert repr(key) == f"RotationKey({key.phi_over_pi!r}*pi, {key.gamma_over_pi!r}*pi)"
+
+    @given(finite_keys)
+    def test_asdict_is_the_field_dict_in_order(self, key):
+        assert list(key._asdict().items()) == [("phi_over_pi", key.phi_over_pi),
+                                              ("gamma_over_pi", key.gamma_over_pi)]
+
+    @given(finite_keys)
+    def test_unpacks_to_its_fields(self, key):
+        phi_over_pi, gamma_over_pi = key
+        assert (phi_over_pi, gamma_over_pi) == (key.phi_over_pi, key.gamma_over_pi)
+
+    @given(quarter_turn_keys, quarter_turn_keys)
+    def test_equal_keys_hash_equal(self, a, b):
+        assert (a == b) == ((a.phi_over_pi, a.gamma_over_pi) == (b.phi_over_pi, b.gamma_over_pi))
+        if a == b:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+
 class TestRxyMatrix:
     def test_zero_rotation_is_identity(self):
         np.testing.assert_allclose(rxy_matrix(RotationKey.make(0, 0)), np.eye(2),

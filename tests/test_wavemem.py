@@ -2,17 +2,19 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoproc import workload
 from qcoproc.errors import CapacityExceeded, NotResident
 from qcoproc.isa import QuantumProgram, RotationKey, Rxy, slot
-from qcoproc.wavemem import (RCT, assign_codewords, dgs_scan, export_pulse_library,
-                             page_update, program_rotation_keys, synthesize_pulse)
+from qcoproc.wavemem import (RCT, PageReport, assign_codewords, dgs_scan,
+                             export_pulse_library, page_update, program_rotation_keys,
+                             synthesize_pulse)
 
 PI = math.pi
 TAU = 0.04 * PI
@@ -31,14 +33,49 @@ def realization(seed, w=25.0):
     return workload.sample_disorder(w, TAU, 10, rng, seed=seed)
 
 
+def by_phi_then_gamma(keys):
+    return sorted(keys, key=lambda k_: (k_.phi_over_pi, k_.gamma_over_pi))
+
+
+def set_based_page_update(needed, resident, capacity, rng):
+    """Test-local copy of the codeword rule that built the whole free set.
+
+    Every free codeword, sorted; victims drawn from the sorted dumping list
+    give up theirs, which join the free list before it is sorted again; the
+    sorted missing list takes the lowest.  Returns (resident, evicted, loaded).
+    """
+    by_key = {k_: cw for cw, k_ in resident.items()}
+    to_load = by_phi_then_gamma(needed - set(by_key))
+    evicted = []
+    if to_load:
+        free = sorted(set(range(capacity)) - set(resident))
+        n_evict = max(0, len(to_load) - len(free))
+        if n_evict:
+            dlst_sorted = by_phi_then_gamma(set(by_key) - needed)
+            victims = rng.choice(len(dlst_sorted), size=n_evict, replace=False)
+            for victim in (dlst_sorted[i] for i in sorted(victims.tolist())):
+                codeword = by_key.pop(victim)
+                del resident[codeword]
+                free.append(codeword)
+                evicted.append(victim)
+            free.sort()
+        for k_, codeword in zip(to_load, free):
+            resident[codeword] = k_
+    return resident, evicted, to_load
+
+
+KEY_POOL = [key(i / 4, j / 8) for i in range(4) for j in range(1, 9)]
+finite_keys = st.builds(RotationKey.make, st.floats(-50, 50), st.floats(-50, 50))
+
+
 def mlst(program, rct):
     """Rotations required by the program but not loaded."""
-    return program_rotation_keys(program) - rct.resident_keys
+    return program_rotation_keys(program) - set(rct.resident.values())
 
 
 def dlst(program, rct):
     """Rotations loaded but not used by the program."""
-    return rct.resident_keys - program_rotation_keys(program)
+    return set(rct.resident.values()) - program_rotation_keys(program)
 
 
 class TestSynthesizePulse:
@@ -152,7 +189,7 @@ class TestPageUpdate:
         program = native(realization(2), 10)
         rct = RCT(capacity=16)
         _, report = page_update(program, rct, np.random.default_rng(0))
-        assert program_rotation_keys(program) <= rct.resident_keys
+        assert program_rotation_keys(program) <= set(rct.resident.values())
         assert set(report.loaded) == set(report.mlst)
         assert report.hits == 0
 
@@ -208,7 +245,7 @@ class TestPageUpdate:
         _, report = page_update(program2, rct, rng)
         assert set(report.evicted) <= set(report.dlst)
         assert len(report.evicted) == 4  # full table, 4 new disorder keys
-        assert program_rotation_keys(program2) <= rct.resident_keys
+        assert program_rotation_keys(program2) <= set(rct.resident.values())
 
     def test_retained_entries_keep_codewords(self):
         rct = RCT(capacity=10)
@@ -243,6 +280,44 @@ class TestPageUpdate:
 
         assert trace(123) == trace(123)
         assert trace(123) != trace(124)  # different stream picks different victims
+
+    def test_loading_pass_memory_does_not_grow_with_capacity(self):
+        """Finding free codewords must not build the set of all of them."""
+        program = native(realization(2), 10)
+        rct = RCT(capacity=10**6)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            _, report = page_update(program, rct, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.loaded) == 10
+        assert sorted(rct.resident) == list(range(10))
+        assert peak < 1 << 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_codewords_match_set_based_rule(self, data):
+        """Any resident layout, holes included: same codewords, victims and
+        loads as the rule that sorted the whole free set."""
+        capacity = data.draw(st.integers(1, 24), label="capacity")
+        occupied = data.draw(st.sets(st.integers(0, capacity - 1)), label="occupied")
+        pool = data.draw(st.permutations(KEY_POOL), label="pool")
+        resident = dict(zip(sorted(occupied), pool))
+        needed = set(data.draw(st.lists(st.sampled_from(KEY_POOL), max_size=capacity),
+                               label="needed"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+        rct = RCT(capacity=capacity, resident=dict(resident))
+        program = QuantumProgram(1, tuple(slot(Rxy(0, k_)) for k_ in by_phi_then_gamma(needed)))
+        _, report = page_update(program, rct, np.random.default_rng(seed))
+        want, evicted, loaded = set_based_page_update(
+            needed, dict(resident), capacity, np.random.default_rng(seed))
+        assert rct.resident == want
+        assert all(rct.codeword_of(k_) == cw for cw, k_ in want.items())
+        assert report.evicted == tuple(evicted)
+        assert report.loaded == tuple(loaded)
 
 
 class TestAssignCodewords:
@@ -291,6 +366,27 @@ class TestSerialization:
         assert body["loaded"] == body["mlst"]
         assert all(set(k_) == {"phi_over_pi", "gamma_over_pi"} for k_ in body["mlst"])
         json.dumps(body)  # serializable
+
+    @given(st.lists(finite_keys, max_size=6), st.lists(finite_keys, max_size=6),
+           st.lists(finite_keys, max_size=6), st.lists(finite_keys, max_size=6))
+    def test_page_report_json_keeps_field_form(self, mlst_, dlst_, evicted, loaded):
+        """Each rotation is {"phi_over_pi", "gamma_over_pi"} in that order, and
+        MLST/DLST list by phi, then gamma."""
+        def key_json(k_):
+            return {"phi_over_pi": k_.phi_over_pi, "gamma_over_pi": k_.gamma_over_pi}
+
+        report = PageReport(mlst=frozenset(mlst_), dlst=frozenset(dlst_),
+                            evicted=tuple(evicted), loaded=tuple(loaded), hits=3,
+                            load_counter=7)
+        expected = {
+            "mlst": [key_json(k_) for k_ in by_phi_then_gamma(set(mlst_))],
+            "dlst": [key_json(k_) for k_ in by_phi_then_gamma(set(dlst_))],
+            "evicted": [key_json(k_) for k_ in evicted],
+            "loaded": [key_json(k_) for k_ in loaded],
+            "hits": 3,
+            "load_counter": 7,
+        }
+        assert json.dumps(report.to_json_dict()) == json.dumps(expected)
 
     def test_pulse_library_export(self):
         program = QuantumProgram(1, (slot(Rxy(0, key(0, 0.5))),))
