@@ -46,7 +46,7 @@ class NotResident(QcoprocError):
     """Codeword lookup for a rotation that is not loaded."""
 
 
-class InvalidProgram(QcoprocError):
+class InvalidProgram(ValidationError):
     """A backend was given a program it cannot execute."""
 
 

@@ -6,7 +6,9 @@ Conventions fixed here and shared by every other module:
   qubit 0 of a 2-qubit register embeds as kron(I, U).  ``embed`` and
   ``basis_bit`` are the only code that knows this layout; every other module
   builds its operators and reads its qubit bits through them, and multiplies
-  operators in execution order with ``ordered_product``.
+  operators in execution order with ``ordered_product``.  ``embed`` forms each
+  Kronecker factor with ``kron``, which broadcasts the same elementwise
+  products as ``np.kron`` without its per-call overhead.
 * A rotation key (phi, gamma) means: rotate by gamma about the axis at azimuth
   phi in the xy plane.  phi is canonical in [0, 2*pi), gamma in (-2*pi, 2*pi]
   (the sign of gamma is kept because it scales the pulse amplitude).  Angles
@@ -215,11 +217,18 @@ def cz_matrix() -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, bit for bit ``np.kron(a, b)``: the
+    same elementwise products, broadcast in one multiply."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def embed(ops: dict, n_qubits: int) -> np.ndarray:
     """Tensor product of ``{qubit: 2x2 matrix}`` with identity on every other qubit."""
     out = _ONE
     for q in range(n_qubits - 1, -1, -1):
-        out = np.kron(out, ops.get(q, _EYE2))
+        out = kron(out, ops.get(q, _EYE2))
     return out
 
 

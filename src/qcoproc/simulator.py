@@ -18,9 +18,11 @@ Sampling is vectorized over shots when every measurement is terminal.
 
 ``sweep_probabilities`` is the engine behind the disorder sweep: it builds the
 map of a head, a repeated interval and a tail of unitary slots once, and steps
-it k = 0..N times.  The ideal engine multiplies slot unitaries; the noisy one
-multiplies superoperators on a row-major vec(rho), each a slot's decay map
-(``_decay`` applied to every basis matrix) times kron(U, conj(U)).
+it k = 0..N times.  It stacks the state at measurement of every k and reads
+all their probabilities at once, with one checked call over the stack.  The
+ideal engine multiplies slot unitaries; the noisy one multiplies
+superoperators on a row-major vec(rho), each a slot's decay map (``_decay``
+applied to every basis matrix) times kron(U, conj(U)).
 ``run_ideal`` and ``run_noisy`` stay the per-program oracle.
 """
 
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import (InvalidNoise, InvalidProgram, NotHermitian, NotNormalized,
                      ValidationError)
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  basis_bit, embed, ordered_product, rxy_matrix, slot_unitary)
+                  basis_bit, embed, kron, ordered_product, rxy_matrix, slot_unitary)
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,13 +44,14 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _checked_probabilities(probs: np.ndarray, what: str) -> np.ndarray:
-    """Basis probabilities clipped at 0 and renormalized; raises if their sum
-    (the state norm or trace) drifted from 1 beyond 1e-10."""
-    total = float(np.sum(probs))
-    if abs(total - 1.0) > 1e-10:
-        raise InvalidProgram(f"{what} drifted to {total}")
+    """Basis probabilities on the last axis, clipped at 0 and renormalized;
+    raises if a sum (the state norm or trace) drifted from 1 beyond 1e-10."""
+    totals = np.atleast_1d(probs.sum(axis=-1))
+    drifted = totals[~(np.abs(totals - 1.0) <= 1e-10)]  # written so that NaN fails
+    if drifted.size:
+        raise InvalidProgram(f"{what} drifted to {float(drifted[0])}")
     probs = probs.clip(min=0.0)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -60,7 +63,7 @@ class StateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValidationError("amplitude count must be 2**n_qubits")
-        if abs(np.sum(np.abs(self.amplitudes) ** 2) - 1.0) > 1e-10:
+        if not abs(np.sum(np.abs(self.amplitudes) ** 2) - 1.0) <= 1e-10:  # NaN fails
             raise NotNormalized("state vector norm differs from 1 beyond 1e-10")
 
     @staticmethod
@@ -113,11 +116,12 @@ class DensityMatrix:
 
     def validate(self, trace_tol: float = 1e-10, herm_tol: float = 1e-10,
                  psd_tol: float = -1e-9) -> None:
-        if abs(np.trace(self.entries).real - 1.0) > trace_tol:
+        # each check is written so that NaN fails it
+        if not abs(np.trace(self.entries).real - 1.0) <= trace_tol:
             raise ValidationError(f"trace {np.trace(self.entries):.3e} != 1")
-        if np.max(np.abs(self.entries - self.entries.conj().T)) > herm_tol:
+        if not np.max(np.abs(self.entries - self.entries.conj().T)) <= herm_tol:
             raise ValidationError("density matrix is not Hermitian")
-        if np.min(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)) < psd_tol:
+        if not np.min(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)) >= psd_tol:
             raise ValidationError("density matrix has a significantly negative eigenvalue")
 
     def prob_one(self, qubit: int) -> float:
@@ -393,7 +397,7 @@ def sweep_probabilities(head, interval, tail, n_steps: int, n_qubits: int,
     the interval's unitary; with it, a row-major vec(rho) stepped by the
     interval's superoperator, each slot's map being its T1/T2 decay times
     kron(U, conj(U)), as ``run_noisy`` applies them.  Each slot map is built
-    once per call.
+    once per call, and the rows of every k are read in one checked call.
     """
     dim = 1 << n_qubits
     if noise is None:
@@ -402,8 +406,8 @@ def sweep_probabilities(head, interval, tail, n_steps: int, n_qubits: int,
         def slot_map(s):
             return slot_unitary(s, n_qubits)
 
-        def read(psi):
-            return _checked_probabilities(np.abs(psi) ** 2, "state norm")
+        def read(states):
+            return _checked_probabilities(np.abs(states) ** 2, "state norm")
     else:
         _check_noise_covers(noise, n_qubits)
         size = dim * dim
@@ -414,10 +418,10 @@ def sweep_probabilities(head, interval, tail, n_steps: int, n_qubits: int,
             if duration not in decay:
                 decay[duration] = _decay_map(noise, duration, n_qubits)
             U = slot_unitary(s, n_qubits)
-            return decay[duration] @ np.kron(U, U.conj())
+            return decay[duration] @ kron(U, U.conj())
 
-        def read(vec):  # the diagonal of rho
-            return _checked_probabilities(vec[::dim + 1].real, "density matrix trace")
+        def read(vecs):  # the diagonal of each rho
+            return _checked_probabilities(vecs[:, ::dim + 1].real, "density matrix trace")
 
     def product(slots):
         return ordered_product(map(slot_map, slots), size)
@@ -426,11 +430,12 @@ def sweep_probabilities(head, interval, tail, n_steps: int, n_qubits: int,
     state[0] = 1.0
     state = product(head) @ state
     step, back = product(interval), product(tail)
-    out = np.empty((n_steps + 1, dim))
+    states = np.empty((n_steps + 1, size), dtype=complex)
     for k in range(n_steps + 1):
-        out[k] = read(back @ state)
+        # one product per k: a product with the whole stack rounds differently
+        states[k] = back @ state
         state = step @ state
-    return out
+    return read(states)
 
 
 # --- spin-chain Hamiltonian and exact evolution -------------------------------------
@@ -449,12 +454,13 @@ def hamiltonian_matrix(w: float, h0x: float, h0z: float, h1x: float, h1z: float)
 
 def evolution_operator(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-iHt) via eigendecomposition, with a unitarity self-check at 1e-12."""
-    if np.max(np.abs(H - H.conj().T)) > 1e-12:
+    # both checks are written so that NaN fails them
+    if not np.max(np.abs(H - H.conj().T)) <= 1e-12:
         raise NotHermitian("Hamiltonian must be Hermitian")
     evals, evecs = np.linalg.eigh(H)
     U = evecs @ np.diag(np.exp(-1j * evals * t)) @ evecs.conj().T
     defect = np.max(np.abs(U.conj().T @ U - np.eye(len(evals))))
-    if defect > 1e-12:
+    if not defect <= 1e-12:
         raise NotHermitian(f"propagator unitarity defect {defect:.3e}")
     return U
 
@@ -483,7 +489,7 @@ def bloch_angles(state: StateVector | np.ndarray) -> BlochVector:
     amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, complex)
     if amps.shape != (2,):
         raise NotNormalized("expected a single-qubit state")
-    if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > 1e-10:
+    if not abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= 1e-10:  # NaN fails
         raise NotNormalized("state is not normalized")
     a0 = min(1.0, abs(amps[0]))
     theta = 2.0 * math.acos(a0)

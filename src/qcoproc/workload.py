@@ -152,9 +152,9 @@ def trotter_interval_unitary(r: DisorderRealization) -> np.ndarray:
     return V.conj().T @ U @ V
 
 
-def imbalance(p0: float, p1: float) -> float:
-    """I = P0 - P1."""
-    if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
+def imbalance(p0: float | np.ndarray, p1: float | np.ndarray) -> float | np.ndarray:
+    """I = P0 - P1, of two probabilities or elementwise of two arrays of them."""
+    if not np.all((0.0 <= p0) & (p0 <= 1.0) & (0.0 <= p1) & (p1 <= 1.0)):  # NaN fails
         raise OutOfRange(f"probabilities must lie in [0, 1], got ({p0}, {p1})")
     return p0 - p1
 
@@ -349,20 +349,21 @@ def _imbalance_curve(r: DisorderRealization, config: ExperimentConfig,
 
     Equals running every ``build_native_circuit(r, k)`` on ``run_ideal`` (no
     ``noise``) or ``run_noisy``: the resets of the |00> start are identities,
-    and sampled mode draws the same shots from the same seeds.
+    and sampled mode draws the same shots from the same seeds.  Every k is
+    reduced at once.
     """
     probs = simulator.sweep_probabilities((_PROLOGUE,), _interval_slots(r), (_EPILOGUE,),
                                           r.n_steps, 2, noise)
     bits = np.array([basis_bit(0, 2), basis_bit(1, 2)])
-    curve = []
-    for k, p in enumerate(probs):
-        if config.measurement_mode == "sampled":
+    if config.measurement_mode == "sampled":
+        means = []
+        for k, p in enumerate(probs):
             rng = np.random.default_rng(derive_seed(r.seed, 0, k))
-            p0, p1 = bits[:, rng.choice(4, size=config.n_avg, p=p)].mean(axis=1)
-        else:
-            p0, p1 = np.clip(bits @ p, 0.0, 1.0)
-        curve.append(imbalance(float(p0), float(p1)))
-    return curve
+            means.append(bits[:, rng.choice(4, size=config.n_avg, p=p)].mean(axis=1))
+        p0, p1 = np.transpose(means)
+    else:
+        p0, p1 = np.clip(probs @ bits.T, 0.0, 1.0).T
+    return imbalance(p0, p1).tolist()
 
 
 def paged_programs(config: ExperimentConfig):

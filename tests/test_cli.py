@@ -417,6 +417,12 @@ INVALID_INPUTS = {
     # shot flags in exact mode, which draws no shots
     "run-exact-seed": (lambda t: ["run", _program_file(t), "--seed", "-5"], 3),
     "run-exact-n-avg": (lambda t: ["run", _program_file(t), "--n-avg", "0"], 3),
+    # programs a backend rejects for their content
+    "run-empty-program": (lambda t: ["run", _text_file(t, "", "p.qasm")], 3),
+    "run-register-measured-twice": (lambda t: ["run", _text_file(
+        t, "measure q0 -> m\nmeasure q1 -> m\n", "p.qasm")], 3),
+    "run-ideal-reset-of-one": (lambda t: ["run", _text_file(
+        t, "rxy q0, 0, 1\nreset q0\nmeasure q0 -> m\n", "p.qasm")], 3),
 }
 
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from qcoproc.errors import NonUnitarySlot, ParseError, ValidationError
 from qcoproc.isa import (CZ, MAX_QUBITS, Measure, QuantumProgram, Reset, RotationKey,
-                         Rxy, TimeSlot, cz_matrix, emit_program, parse_program,
-                         program_segment_unitary, rxy_matrix, slot, slot_unitary)
+                         Rxy, TimeSlot, cz_matrix, embed, emit_program, kron,
+                         parse_program, program_segment_unitary, rxy_matrix, slot,
+                         slot_unitary)
 
 PI = math.pi
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -163,6 +164,37 @@ class TestCZMatrix:
         swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                         dtype=complex)
         np.testing.assert_allclose(swap @ cz_matrix() @ swap, cz_matrix())
+
+
+_part = st.floats(-2.0, 2.0, allow_nan=False)
+_complex = st.builds(complex, _part, _part)
+_matrix2 = st.lists(_complex, min_size=4, max_size=4).map(
+    lambda v: np.array(v, dtype=complex).reshape(2, 2))
+
+
+def kron_chain_ref(ops: dict, n_qubits: int) -> np.ndarray:
+    """The chain of ``np.kron`` calls ``embed`` stands for, qubit n - 1 first."""
+    out = np.ones((1, 1), dtype=complex)
+    for q in range(n_qubits - 1, -1, -1):
+        out = np.kron(out, ops.get(q, np.eye(2, dtype=complex)))
+    return out
+
+
+class TestKron:
+    """``kron`` broadcasts the products ``np.kron`` forms, so they agree bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.dictionaries(st.integers(0, n - 1), _matrix2, max_size=n))))
+    def test_embed_equals_chained_np_kron_exactly(self, case):
+        n_qubits, ops = case
+        assert np.array_equal(embed(ops, n_qubits), kron_chain_ref(ops, n_qubits))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_complex, min_size=16, max_size=16))
+    def test_superoperator_factor_equals_np_kron_exactly(self, entries):
+        U = np.array(entries, dtype=complex).reshape(4, 4)
+        assert np.array_equal(kron(U, U.conj()), np.kron(U, U.conj()))
 
 
 class TestSlots:

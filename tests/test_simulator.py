@@ -452,6 +452,33 @@ class TestBloch:
             assert abs(axis @ vec) < 1e-9
 
 
+class TestNaNFailsNormChecks:
+    """A NaN norm, trace or defect fails its check: ``abs(x - 1) > tol`` is false
+    for NaN, so each check is written as ``not abs(x - 1) <= tol``."""
+
+    def test_state_vector_rejected(self):
+        with pytest.raises(NotNormalized):
+            StateVector(1, [math.nan, 0])
+
+    def test_checked_probabilities_rejected(self):
+        with pytest.raises(InvalidProgram, match="drifted to nan"):
+            simulator._checked_probabilities(np.array([math.nan, 0.5]), "state norm")
+
+    def test_bloch_angles_rejected(self):
+        with pytest.raises(NotNormalized):
+            bloch_angles(np.array([math.nan, 0], dtype=complex))
+
+    @pytest.mark.parametrize("entries", [[[math.nan, 0], [0, 0]],
+                                         [[1, math.nan], [math.nan, 0]]])
+    def test_density_matrix_validate_rejected(self, entries):
+        with pytest.raises(ValidationError):
+            DensityMatrix(1, entries).validate()
+
+    def test_nan_hamiltonian_rejected(self):
+        with pytest.raises(NotHermitian):
+            simulator.evolution_operator(np.array([[math.nan, 0], [0, 1.0]]), 1.0)
+
+
 class TestMeasurementRecord:
     def test_exact_json(self):
         body = MeasurementRecord(mode="exact", registers={"m": 0.25}).to_json_dict()

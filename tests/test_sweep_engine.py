@@ -1,17 +1,22 @@
 """The sweep engine against the per-program backends it replaces in the sweep."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoproc import simulator
-from qcoproc.errors import InvalidNoise
+from qcoproc import simulator, workload
+from qcoproc.errors import InvalidNoise, InvalidProgram
+from qcoproc.isa import basis_bit, ordered_product, slot_unitary
 from qcoproc.simulator import DensityMatrix, NoiseParams, run_ideal, run_noisy
 from qcoproc.workload import (ExperimentConfig, build_native_circuit, derive_seed,
-                              imbalance, run_experiment)
+                              imbalance, paged_programs, run_experiment)
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "experiment_default.json"
 
 
 @st.composite
@@ -82,3 +87,87 @@ def test_density_matrix_prob_one_clips_rounding_below_zero():
     rho = DensityMatrix(2, np.diag([1.0, -6e-33, 0.0, 0.0]).astype(complex))
     assert rho.prob_one(0) == 0.0
     assert rho.prob_one(1) == 0.0
+
+
+def _per_k_curve(r, config: ExperimentConfig, noise) -> list[float]:
+    """I(k) by the per-k loop the engine's stacked read replaced: each k's state
+    read and checked on its own, the noisy slot maps built with ``np.kron``, and
+    each k clipped and reduced on its own."""
+    if noise is None:
+        size = 4
+
+        def slot_map(s):
+            return slot_unitary(s, 2)
+
+        def read(psi):
+            return simulator._checked_probabilities(np.abs(psi) ** 2, "state norm")
+    else:
+        size = 16
+
+        def slot_map(s):
+            U = slot_unitary(s, 2)
+            decay = simulator._decay_map(noise, noise.slot_duration(s), 2)
+            return decay @ np.kron(U, U.conj())
+
+        def read(vec):
+            return simulator._checked_probabilities(vec[::5].real, "density matrix trace")
+
+    def product(slots):
+        return ordered_product(map(slot_map, slots), size)
+
+    state = np.zeros(size, dtype=complex)
+    state[0] = 1.0
+    state = product((workload._PROLOGUE,)) @ state
+    step, back = product(workload._interval_slots(r)), product((workload._EPILOGUE,))
+    bits = np.array([basis_bit(0, 2), basis_bit(1, 2)])
+    curve = []
+    for k in range(r.n_steps + 1):
+        p = read(back @ state)
+        state = step @ state
+        if config.measurement_mode == "sampled":
+            rng = np.random.default_rng(derive_seed(r.seed, 0, k))
+            p0, p1 = bits[:, rng.choice(4, size=config.n_avg, p=p)].mean(axis=1)
+        else:
+            p0, p1 = np.clip(bits @ p, 0.0, 1.0)
+        curve.append(imbalance(float(p0), float(p1)))
+    return curve
+
+
+@pytest.fixture(scope="module")
+def default_realizations():
+    """The shipped config's 120 realizations, in stream order."""
+    config = ExperimentConfig.from_json_dict(json.loads(DEFAULT_CONFIG.read_text()))
+    return [r for _, _, r, k, _ in paged_programs(config) if k == 0]
+
+
+@pytest.mark.parametrize("backend", ["ideal", "noisy"])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_imbalance_curve_equals_per_k_loop_exactly(default_realizations, backend, mode):
+    noise = NoiseParams.octobox_defaults() if backend == "noisy" else None
+    config = ExperimentConfig(backend=backend, noise=noise, measurement_mode=mode)
+    assert len(default_realizations) == 120
+    for r in default_realizations:
+        assert workload._imbalance_curve(r, config, noise) == _per_k_curve(r, config, noise)
+
+
+def test_checked_probabilities_of_a_stack_equal_row_by_row_calls():
+    rng = np.random.default_rng(11)
+    for rows, dim in ((1, 4), (11, 4), (51, 16)):
+        psi = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        probs = np.abs(psi) ** 2
+        probs[0, :2] = -1e-17, probs[0, 1] + probs[0, 0]  # a rounding below zero, clipped
+        # rho = |psi><psi| as a row-major vec, whose diagonal the noisy read takes
+        vec_rho = (psi[:, :, None] * psi[:, None, :].conj()).reshape(rows, dim * dim)
+        for stack in (probs, vec_rho[:, ::dim + 1].real):
+            one_by_one = [simulator._checked_probabilities(p, "norm") for p in stack]
+            assert np.array_equal(simulator._checked_probabilities(stack, "norm"),
+                                  np.array(one_by_one))
+
+
+@pytest.mark.parametrize("bad_sum", [1.5, math.nan])
+def test_checked_probabilities_raise_on_a_bad_row_and_name_its_sum(bad_sum):
+    probs = np.full((3, 4), 0.25)
+    probs[1, 0] = bad_sum - 0.75
+    with pytest.raises(InvalidProgram, match=f"state norm drifted to {bad_sum}$"):
+        simulator._checked_probabilities(probs, "state norm")

@@ -193,6 +193,16 @@ class TestImbalance:
         with pytest.raises(OutOfRange):
             imbalance(1.2, 0.0)
 
+    def test_elementwise_on_arrays(self):
+        p0, p1 = np.array([1.0, 0.4, 0.0]), np.array([0.0, 0.4, 1.0])
+        assert imbalance(p0, p1).tolist() == [1.0, 0.0, -1.0]
+
+    @pytest.mark.parametrize("p0, p1", [(math.nan, 0.0), ([0.5, math.nan], [0.5, 0.5]),
+                                        ([0.5, 0.5], [-0.1, 0.5])])
+    def test_nan_or_out_of_range_entry_rejected(self, p0, p1):
+        with pytest.raises(OutOfRange):
+            imbalance(np.asarray(p0), np.asarray(p1))
+
 
 class TestExperiment:
     def test_single_clean_realization_matches_exact_trotter(self):
