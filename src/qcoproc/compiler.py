@@ -40,33 +40,23 @@ HALF_PI = math.pi / 2
 
 
 @dataclass(frozen=True)
-class Rx:
-    qubit: int
+class AxisRotation(isa.OneQubit):
+    """Rotation by ``angle`` radians about the axis its subclass names; the
+    mnemonic is the subclass name in lower case."""
+
     angle: float
 
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
+
+class Rx(AxisRotation):
+    pass
 
 
-@dataclass(frozen=True)
-class Ry:
-    qubit: int
-    angle: float
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
+class Ry(AxisRotation):
+    pass
 
 
-@dataclass(frozen=True)
-class Rz:
-    qubit: int
-    angle: float
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
+class Rz(AxisRotation):
+    pass
 
 
 @dataclass(frozen=True)
@@ -103,29 +93,17 @@ SOURCE_KINDS = (Rx, Ry, Rz, CNOT, CRx) + isa.NATIVE_KINDS
 
 @dataclass(frozen=True)
 class SourceProgram:
-    """Like :class:`~qcoproc.isa.QuantumProgram` but over source gates.
-
-    ``frame`` records which axis carries the z-type disorder terms; the
-    frame-rotation pass flips it to "y" (h^z parameters are then read as h^y).
-    """
+    """Like :class:`~qcoproc.isa.QuantumProgram` but over source gates.  Not a
+    subclass of it: the backends, paging and the native emitter accept only
+    native programs."""
 
     n_qubits: int
     slots: tuple
-    frame: str = "z"
 
     def __post_init__(self):
-        for s in self.slots:
-            for instr in s.instructions:
-                if not isinstance(instr, SOURCE_KINDS):
-                    raise ValidationError(f"unknown source gate {instr!r}")
-                for q in instr.qubits:
-                    if not 0 <= q < self.n_qubits:
-                        raise ValidationError(
-                            f"qubit q{q} out of range for {self.n_qubits}-qubit program")
+        isa.check_program(self, SOURCE_KINDS, "unknown source gate")
 
-    def instructions(self):
-        for s in self.slots:
-            yield from s.instructions
+    instructions = QuantumProgram.instructions
 
 
 @dataclass(frozen=True)
@@ -247,7 +225,7 @@ def _conjugate_gate(gate) -> list:
     raise UnsupportedGate(f"cannot frame-rotate {gate!r}")
 
 
-def frame_rotate_z_to_y(source: SourceProgram) -> SourceProgram:
+def frame_rotate_z_to_y(source: SourceProgram | QuantumProgram) -> SourceProgram:
     """Rotate the single-qubit basis so that z becomes y.
 
     Requires the shape of the evolution workload: any resets first, then
@@ -280,7 +258,7 @@ def frame_rotate_z_to_y(source: SourceProgram) -> SourceProgram:
     enter = TimeSlot(tuple(Rx(q, -HALF_PI) for q in qs))
     leave = TimeSlot(tuple(Rx(q, HALF_PI) for q in qs))
     slots = tuple(head) + (enter,) + tuple(rotated) + (leave,) + tuple(tail)
-    return SourceProgram(n_qubits=source.n_qubits, slots=slots, frame="y")
+    return SourceProgram(n_qubits=source.n_qubits, slots=slots)
 
 
 # --- scheduling -------------------------------------------------------------------
@@ -343,8 +321,6 @@ def run_passes(program, passes) -> SourceProgram | QuantumProgram:
     """Apply named passes in order; see :data:`PASSES`."""
     for name in passes:
         if name == "frame-rotate":
-            if isinstance(program, QuantumProgram):
-                program = SourceProgram(program.n_qubits, program.slots)
             program = frame_rotate_z_to_y(program)
         elif name == "lower":
             program = lower(program)
@@ -388,17 +364,14 @@ def parse_source_program(text: str) -> SourceProgram:
 
 
 def emit_source_statement(gate) -> str:
-    if isinstance(gate, Rx):
-        return f"rx q{gate.qubit}, {float(round(gate.angle / math.pi, 12))!r}"
-    if isinstance(gate, Ry):
-        return f"ry q{gate.qubit}, {float(round(gate.angle / math.pi, 12))!r}"
-    if isinstance(gate, Rz):
-        return f"rz q{gate.qubit}, {float(round(gate.angle / math.pi, 12))!r}"
+    if isinstance(gate, AxisRotation):
+        return (f"{type(gate).__name__.lower()} q{gate.qubit}, "
+                f"{isa._format_angle(round(gate.angle / math.pi, 12))}")
     if isinstance(gate, CNOT):
         return f"cnot q{gate.target}, q{gate.control}"
     if isinstance(gate, CRx):
         return (f"crx q{gate.rotated}, q{gate.conditioning}, "
-                f"{float(round(gate.angle / math.pi, 12))!r}")
+                f"{isa._format_angle(round(gate.angle / math.pi, 12))}")
     return isa.emit_statement(gate)
 
 

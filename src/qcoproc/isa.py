@@ -87,13 +87,21 @@ class RotationKey(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Rxy:
+class OneQubit:
+    """The operand of a one-qubit instruction; every one-qubit kind derives
+    from it.  Equality stays per kind: the generated ``__eq__`` compares
+    classes first."""
+
     qubit: int
-    key: RotationKey
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.qubit,)
+
+
+@dataclass(frozen=True)
+class Rxy(OneQubit):
+    key: RotationKey
 
 
 @dataclass(frozen=True)
@@ -113,25 +121,15 @@ class CZ:
 
 
 @dataclass(frozen=True)
-class Measure:
-    qubit: int
+class Measure(OneQubit):
     register: str
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
 
 
 @dataclass(frozen=True)
-class Reset:
-    qubit: int
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
+class Reset(OneQubit):
+    pass
 
 
-Instruction = Rxy | CZ | Measure | Reset
 NATIVE_KINDS = (Rxy, CZ, Measure, Reset)
 
 
@@ -151,10 +149,6 @@ class TimeSlot:
                     raise ValidationError(f"qubit q{q} appears twice in one slot")
                 seen.add(q)
 
-    @property
-    def qubits(self) -> frozenset[int]:
-        return frozenset(q for i in self.instructions for q in i.qubits)
-
     def is_unitary(self) -> bool:
         return all(isinstance(i, (Rxy, CZ)) for i in self.instructions)
 
@@ -171,14 +165,7 @@ class QuantumProgram:
     slots: tuple
 
     def __post_init__(self):
-        for s in self.slots:
-            for instr in s.instructions:
-                if not isinstance(instr, NATIVE_KINDS):
-                    raise ValidationError(f"non-native instruction {instr!r}")
-                for q in instr.qubits:
-                    if not 0 <= q < self.n_qubits:
-                        raise ValidationError(
-                            f"qubit q{q} out of range for {self.n_qubits}-qubit program")
+        check_program(self, NATIVE_KINDS, "non-native instruction")
 
     @property
     def registers(self) -> tuple[str, ...]:
@@ -193,6 +180,20 @@ class QuantumProgram:
     def instructions(self):
         for s in self.slots:
             yield from s.instructions
+
+
+def check_program(program, kinds: tuple, foreign: str) -> None:
+    """The validity rule of both program types: every instruction is one of
+    ``kinds`` and acts on qubits 0..n_qubits - 1; a foreign kind's message
+    starts with ``foreign``."""
+    for s in program.slots:
+        for instr in s.instructions:
+            if not isinstance(instr, kinds):
+                raise ValidationError(f"{foreign} {instr!r}")
+            for q in instr.qubits:
+                if not 0 <= q < program.n_qubits:
+                    raise ValidationError(
+                        f"qubit q{q} out of range for {program.n_qubits}-qubit program")
 
 
 # --- matrix semantics ---------------------------------------------------------
@@ -269,12 +270,10 @@ def slot_unitary(s: TimeSlot, n_qubits: int) -> np.ndarray:
     return _slot_unitary_cached(s, n_qubits)
 
 
-def program_segment_unitary(program: QuantumProgram, start: int = 0,
-                            stop: int | None = None) -> np.ndarray:
+def program_segment_unitary(program: QuantumProgram) -> np.ndarray:
     """Ordered product of slot unitaries; the earliest slot is applied first."""
-    stop = len(program.slots) if stop is None else stop
-    return ordered_product((slot_unitary(s, program.n_qubits)
-                            for s in program.slots[start:stop]), 1 << program.n_qubits)
+    return ordered_product((slot_unitary(s, program.n_qubits) for s in program.slots),
+                           1 << program.n_qubits)
 
 
 # --- assembly text format ------------------------------------------------------

@@ -215,8 +215,9 @@ class ExperimentConfig:
             raise ValidationError(f"tau must be positive and finite, got {self.tau}")
         if self.n_steps < 0:
             raise ValidationError("n_steps must be >= 0")
-        if self.n_avg < 1:
-            raise ValidationError("n_avg must be >= 1")
+        if not 1 <= self.n_avg <= simulator.MAX_SHOTS:
+            raise ValidationError(f"n_avg must lie in 1..{simulator.MAX_SHOTS}, "
+                                  f"got {self.n_avg}")
         if self.capacity < 1:
             raise ValidationError("capacity must be >= 1")
         if self.backend not in ("ideal", "noisy"):
@@ -326,7 +327,7 @@ class ImbalanceSeries:
     def __post_init__(self):
         for row in self.per_realization + (self.mean,):
             for value in row:
-                if abs(value) > 1.0 + 1e-9:
+                if not abs(value) <= 1.0 + 1e-9:  # NaN fails
                     raise ValidationError(f"imbalance {value} outside [-1, 1]")
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qcoproc import cli, isa, workload
+from qcoproc import cli, isa, simulator, workload
 from qcoproc.workload import gate_census
 
 REPO = Path(__file__).resolve().parent.parent
@@ -68,6 +68,37 @@ class TestGen:
         assert code == 3
 
 
+# `qcoproc compile` of the README's assembly example, with every pass and with
+# the frame rotation alone
+README_COMPILED = """\
+reset q0
+reset q1
+{ rxy q0, 0.0, -0.5 | rxy q1, 0.0, -0.5 }
+{ rxy q0, 0.0, 0.5 | rxy q1, 0.0, -0.5 }
+{ rxy q1, 0.0, 0.5 | rxy q0, 0.0, 0.5 }
+cz q1, q0
+{ rxy q1, 0.0, -0.5 | rxy q0, 0.0, -0.5 }
+{ rxy q1, 0.5, 0.08 | rxy q0, 0.0, 0.5 }
+rxy q1, 0.0, 0.5
+measure q0 -> q0mZ
+measure q1 -> q1mZ
+"""
+README_FRAME_ROTATED = """\
+reset q0
+reset q1
+{ rx q0, -0.5 | rx q1, -0.5 }
+{ rxy q0, 0.0, 0.5 | rxy q1, 0.0, -0.5 }
+rx q1, 0.5
+rx q0, 0.5
+cz q1, q0
+rx q1, -0.5
+rx q0, -0.5
+ry q1, 0.08
+{ rx q0, 0.5 | rx q1, 0.5 }
+{ measure q0 -> q0mZ | measure q1 -> q1mZ }
+"""
+
+
 class TestCompile:
     def test_single_cnot_lowered(self, tmp_path, capsys):
         src = tmp_path / "in.qasm"
@@ -87,6 +118,18 @@ class TestCompile:
         out = tmp_path / "out.qasm"
         run_cli("compile", str(src), "--passes", "lower", "--out", str(out))
         assert out.read_text() == src.read_text()
+
+    @pytest.mark.parametrize("passes, expected", [
+        ((), README_COMPILED),
+        (("--passes", "frame-rotate"), README_FRAME_ROTATED),
+    ])
+    def test_readme_example_output_is_pinned(self, tmp_path, passes, expected):
+        readme = (REPO / "README.md").read_text().split("## Assembly format")[1]
+        src = tmp_path / "source.qasm"
+        src.write_text(readme.split("```\n")[1])
+        out = tmp_path / "out.qasm"
+        assert run_cli("compile", str(src), *passes, "--out", str(out)) == 0
+        assert out.read_text() == expected
 
     def test_parse_error_exit_code(self, tmp_path):
         src = tmp_path / "in.qasm"
@@ -296,6 +339,15 @@ INVALID_INPUTS = {
                                "--n-avg", "0"], 3),
     "run-n-avg-negative": (lambda t: ["run", _program_file(t), "--mode", "sampled",
                                       "--n-avg", "-1"], 3),
+    # a shot count past the cap is rejected before any shot array is sized
+    "run-n-avg-above-cap": (lambda t: ["run", _program_file(t), "--mode", "sampled",
+                                       "--n-avg", simulator.MAX_SHOTS + 1], 3),
+    "run-n-avg-1e19": (lambda t: ["run", _program_file(t), "--mode", "sampled",
+                                  "--n-avg", 10**19], 3),
+    "n-avg-above-cap-sampled": (lambda t: ["experiment", "--config", small_config(
+        t, measurement_mode="sampled", n_avg=simulator.MAX_SHOTS + 1)], 3),
+    "n-avg-1e19-sampled": (lambda t: ["experiment", "--config", small_config(
+        t, measurement_mode="sampled", n_avg=10**19)], 3),
     "malformed-config": (lambda t: ["experiment", "--config",
                                     _text_file(t, '{"n_steps": 2,')], 2),
     "malformed-config-paging": (lambda t: ["paging-report", "--config",

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qcoproc import compiler, simulator, workload
+from qcoproc import compiler, isa, simulator, workload
 from qcoproc.compiler import (CNOT, CRx, Rx, Ry, Rz,
                               SourceProgram, decompose_cnot, decompose_crx,
                               decompose_rz, equivalence_check, frame_rotate_z_to_y,
@@ -18,7 +18,7 @@ from qcoproc.compiler import (CNOT, CRx, Rx, Ry, Rz,
 from qcoproc.errors import (DimensionMismatch, NonUnitarySlot, SameQubit,
                             UnsupportedGate, ValidationError)
 from qcoproc.isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy,
-                         program_segment_unitary, slot)
+                         parse_program, program_segment_unitary, slot)
 
 PI = math.pi
 
@@ -300,7 +300,6 @@ class TestFrameRotation:
         rotated = frame_rotate_z_to_y(src)
         gates = [g for g in rotated.instructions() if isinstance(g, Ry)]
         assert gates == [Ry(0, 0.7)]
-        assert rotated.frame == "y"
 
     def test_identity_program_probabilities_unchanged(self):
         src = SourceProgram(2, (slot(Reset(0)), slot(Reset(1)),
@@ -361,6 +360,62 @@ class TestPassPipeline:
         src = SourceProgram(2, (slot(CNOT(1, 0)),))
         with pytest.raises(UnsupportedGate):
             run_passes(src, ["schedule"])
+
+    def test_frame_rotate_takes_a_native_program_as_is(self):
+        p = parse_program("reset q0\n{ rxy q0, 0.5, 0.25 | rxy q1, 0, 1 }\ncz q0, q1\n"
+                          "measure q1 -> m\n")
+        out = run_passes(p, ["frame-rotate"])
+        assert isinstance(out, SourceProgram)
+        assert out == run_passes(SourceProgram(p.n_qubits, p.slots), ["frame-rotate"])
+
+
+# Every one-qubit kind, native and source: (instance, repr, fields).  Each
+# derives its qubit operand from isa.OneQubit and keeps the dataclass repr,
+# hash and per-kind equality.
+ONE_QUBIT_KINDS = [
+    (Rxy(1, RotationKey.from_pi_units(0.5, -1)),
+     "Rxy(qubit=1, key=RotationKey(0.5*pi, -1.0*pi))", (1, RotationKey(0.5, -1.0))),
+    (Measure(1, "m"), "Measure(qubit=1, register='m')", (1, "m")),
+    (Reset(1), "Reset(qubit=1)", (1,)),
+    (Rx(1, 0.25), "Rx(qubit=1, angle=0.25)", (1, 0.25)),
+    (Ry(1, 0.25), "Ry(qubit=1, angle=0.25)", (1, 0.25)),
+    (Rz(1, 0.25), "Rz(qubit=1, angle=0.25)", (1, 0.25)),
+]
+
+
+class TestInstructionShapes:
+    @pytest.mark.parametrize("instr, text, fields", ONE_QUBIT_KINDS)
+    def test_one_qubit_kind(self, instr, text, fields):
+        assert instr.qubits == (1,)
+        assert repr(instr) == text
+        assert hash(instr) == hash(fields)
+        assert instr == type(instr)(*fields)
+        with pytest.raises(AttributeError):
+            instr.qubit = 0
+
+    def test_kinds_never_compare_equal(self):
+        instrs = [instr for instr, _, _ in ONE_QUBIT_KINDS] + [isa.OneQubit(1)]
+        for a in instrs:
+            assert [b for b in instrs if a == b] == [a]
+
+    @pytest.mark.parametrize("program_type, kinds, foreign, message", [
+        (QuantumProgram, [Rxy(1, RotationKey.make(0, PI)), Measure(1, "m"), Reset(1), CZ(0, 1)],
+         Rx(0, 1.0), "non-native instruction Rx(qubit=0, angle=1.0)"),
+        (SourceProgram, [Rx(1, 1.0), Ry(1, 1.0), Rz(1, 1.0), CNOT(0, 1), CRx(1.0, 0, 1),
+                         Rxy(1, RotationKey.make(0, PI)), Measure(1, "m"), Reset(1), CZ(0, 1)],
+         isa.OneQubit(0), "unknown source gate OneQubit(qubit=0)"),
+    ])
+    def test_program_validity_rule(self, program_type, kinds, foreign, message):
+        """Every accepted kind passes and is range-checked; a foreign kind is
+        rejected with the program type's own message."""
+        for instr in kinds:
+            program_type(2, (slot(instr),))
+            with pytest.raises(ValidationError) as err:
+                program_type(1, (slot(instr),))
+            assert str(err.value) == "qubit q1 out of range for 1-qubit program"
+        with pytest.raises(ValidationError) as err:
+            program_type(2, (slot(foreign),))
+        assert str(err.value) == message
 
 
 class TestSourceAssembly:

@@ -72,7 +72,7 @@ def reference_frame_rotate(source: SourceProgram) -> SourceProgram:
     enter = TimeSlot(tuple(Rx(q, -PI / 2) for q in qs))
     leave = TimeSlot(tuple(Rx(q, PI / 2) for q in qs))
     slots = tuple(head) + (enter,) + tuple(rotated) + (leave,) + tuple(tail)
-    return SourceProgram(n_qubits=source.n_qubits, slots=slots, frame="y")
+    return SourceProgram(n_qubits=source.n_qubits, slots=slots)
 
 
 def reference_schedule(program: QuantumProgram) -> QuantumProgram:

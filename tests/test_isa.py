@@ -234,8 +234,7 @@ class TestSlots:
 
 class TestProgramUnitary:
     def test_empty_range_is_identity(self):
-        p = parse_program("rxy q0, 0, 1\nrxy q1, 0, 1\n")
-        np.testing.assert_allclose(program_segment_unitary(p, 0, 0), np.eye(4))
+        np.testing.assert_allclose(program_segment_unitary(QuantumProgram(2, ())), np.eye(4))
 
     def test_rotation_angles_accumulate(self):
         p = parse_program("rxy q0, 0, 0.5\nrxy q0, 0, 0.5\n")

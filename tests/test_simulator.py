@@ -474,6 +474,19 @@ class TestNaNFailsNormChecks:
         with pytest.raises(ValidationError):
             DensityMatrix(1, entries).validate()
 
+    def test_nan_state_fails_prob_one_and_project(self):
+        """``min(1.0, nan)`` is 1.0 and ``nan < 1e-12`` is false, so a NaN put
+        into a valid state must be caught by the probability read itself."""
+        sv = StateVector.ground(1)
+        sv.amplitudes = np.array([1, math.nan], dtype=complex)
+        rho = DensityMatrix.ground(1)
+        rho.entries = np.diag([0.5, math.nan]).astype(complex)
+        for state in (sv, rho):
+            with pytest.raises(InvalidProgram, match="nan"):
+                state.prob_one(0)
+            with pytest.raises(InvalidProgram, match="nan"):
+                state.project(0, 1)
+
     def test_nan_hamiltonian_rejected(self):
         with pytest.raises(NotHermitian):
             simulator.evolution_operator(np.array([[math.nan, 0], [0, 1.0]]), 1.0)

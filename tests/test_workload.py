@@ -15,7 +15,7 @@ from qcoproc.errors import OutOfRange, StepOutOfRange, ValidationError
 from qcoproc.isa import Measure, RotationKey, Rxy
 from qcoproc.simulator import evolution_operator, hamiltonian_matrix, run_ideal
 from qcoproc.workload import (DEFAULT_TAU, DisorderRealization, ExperimentConfig,
-                              build_native_circuit, build_source_circuit,
+                              ImbalanceSeries, build_native_circuit, build_source_circuit,
                               derive_seed, exact_imbalance_curve, gate_census,
                               imbalance, paged_programs, run_experiment,
                               sample_disorder, trotter_interval_unitary)
@@ -202,6 +202,11 @@ class TestImbalance:
     def test_nan_or_out_of_range_entry_rejected(self, p0, p1):
         with pytest.raises(OutOfRange):
             imbalance(np.asarray(p0), np.asarray(p1))
+
+    @pytest.mark.parametrize("value", [math.nan, 1.5, -math.inf])
+    def test_series_rejects_nan_or_out_of_range_value(self, value):
+        with pytest.raises(ValidationError, match="outside"):
+            ImbalanceSeries(w=1.0, mean=(value,), stderr=(0.0,), per_realization=((value,),))
 
 
 class TestExperiment:
