@@ -10,6 +10,7 @@ exceeded, 5 golden-record mismatch, 6 I/O failure, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -65,7 +66,7 @@ def _realization_from_args(args) -> workload.DisorderRealization:
     overrides = {n: getattr(args, n) for n in ("h0x", "h0y", "h1x", "h1y")
                  if getattr(args, n) is not None}
     if overrides and args.seed is not None:
-        r = workload.DisorderRealization(**{**r.__dict__, **overrides})
+        r = dataclasses.replace(r, **overrides)
     return r
 
 
@@ -120,7 +121,7 @@ def _noise_from_args(args) -> simulator.NoiseParams:
         return simulator.NoiseParams.octobox_defaults()
     if args.t1 is None or args.t2 is None:
         raise ValidationError("--t1 and --t2 must be given together")
-    return simulator.NoiseParams(t1=tuple(args.t1), t2=tuple(args.t2))
+    return simulator.NoiseParams(t1=args.t1, t2=args.t2)
 
 
 def _read_text(path: str) -> str:
@@ -140,14 +141,9 @@ def _read_json(path: str):
 
 def _load_config(args) -> workload.ExperimentConfig:
     config = workload.ExperimentConfig.from_json_dict(_read_json(args.config))
-    overrides = {}
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
-    if getattr(args, "capacity", None) is not None:
-        overrides["capacity"] = args.capacity
-    if overrides:
-        config = workload.ExperimentConfig(**{**config.__dict__, **overrides})
-    return config
+    overrides = {name: getattr(args, name) for name in ("backend", "capacity")
+                 if getattr(args, name, None) is not None}  # paging-report has neither flag
+    return dataclasses.replace(config, **overrides)
 
 
 def _golden_dict(config: workload.ExperimentConfig,

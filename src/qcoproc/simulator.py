@@ -54,6 +54,24 @@ def _checked_probabilities(probs: np.ndarray, what: str) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
+def as_float(name: str, value) -> float:
+    """``value`` as a float: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ValidationError(f"{name} is too large for a float") from None
+
+
+def as_floats(name: str, values) -> tuple:
+    """Each of ``values`` as a float, by :func:`as_float`."""
+    try:
+        return tuple(as_float(f"each {name} entry", v) for v in values)
+    except TypeError:  # not iterable
+        raise ValidationError(f"{name} must be a list of numbers, got {values!r}") from None
+
+
 def _clipped_prob_one(p: float, qubit: int) -> float:
     """``p`` clipped to [0, 1]; ``min``/``max`` would turn NaN into a bound."""
     if math.isnan(p):
@@ -93,7 +111,8 @@ class StateVector:
         prob = float(np.sum(np.abs(self.amplitudes[keep]) ** 2))
         if not prob >= 1e-12:  # NaN fails
             raise InvalidProgram(f"{what} outcome {outcome} on q{qubit} has probability {prob:.3e}")
-        self.amplitudes = np.where(keep, self.amplitudes, 0.0) / math.sqrt(prob)
+        # a product, not a mask: NaN in the discarded half survives to the next check
+        self.amplitudes = self.amplitudes * keep / math.sqrt(prob)
 
     def reset(self, qubit: int) -> None:
         """A pure state has no channel to re-prepare |0>: reset projects onto it."""
@@ -121,14 +140,13 @@ class DensityMatrix:
         rho[0, 0] = 1.0
         return DensityMatrix(n_qubits, rho)
 
-    def validate(self, trace_tol: float = 1e-10, herm_tol: float = 1e-10,
-                 psd_tol: float = -1e-9) -> None:
+    def validate(self) -> None:
         # each check is written so that NaN fails it
-        if not abs(np.trace(self.entries).real - 1.0) <= trace_tol:
+        if not abs(np.trace(self.entries).real - 1.0) <= 1e-10:
             raise ValidationError(f"trace {np.trace(self.entries):.3e} != 1")
-        if not np.max(np.abs(self.entries - self.entries.conj().T)) <= herm_tol:
+        if not np.max(np.abs(self.entries - self.entries.conj().T)) <= 1e-10:
             raise ValidationError("density matrix is not Hermitian")
-        if not np.min(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)) >= psd_tol:
+        if not np.min(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)) >= -1e-9:
             raise ValidationError("density matrix has a significantly negative eigenvalue")
 
     def prob_one(self, qubit: int) -> float:
@@ -168,8 +186,10 @@ class NoiseParams:
     cz_duration: float = 40e-9
 
     def __post_init__(self):
-        object.__setattr__(self, "t1", tuple(self.t1))
-        object.__setattr__(self, "t2", tuple(self.t2))
+        for name in ("t1", "t2"):
+            object.__setattr__(self, name, as_floats(name, getattr(self, name)))
+        for name in ("single_qubit_gate_duration", "cz_duration"):
+            object.__setattr__(self, name, as_float(name, getattr(self, name)))
         # "not 0 < x < inf" also rejects NaN, which every comparison lets through
         if not all(0 < d < math.inf for d in (self.single_qubit_gate_duration, self.cz_duration)):
             raise InvalidNoise("gate durations must be positive and finite, got "
@@ -208,7 +228,6 @@ class MeasurementRecord:
     mode: str
     registers: dict
     n_avg: int | None = None
-    seed: int | None = None
 
     def probabilities(self) -> dict:
         """Collapse to {register: P(|1>)} in either mode."""
@@ -329,7 +348,7 @@ def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
             for s in program.slots:
                 _apply_slot(state, s, registers, collapse_rng=rng)
                 after_slot(state, s)
-    return MeasurementRecord(mode="sampled", registers=registers, n_avg=n_avg, seed=seed)
+    return MeasurementRecord(mode="sampled", registers=registers, n_avg=n_avg)
 
 
 def _apply_slot(state: StateVector | DensityMatrix, s: TimeSlot, registers: dict,
@@ -518,10 +537,19 @@ def bloch_angles(state: StateVector | np.ndarray) -> BlochVector:
     return BlochVector(theta=theta, phi=float(phi))
 
 
+# A trajectory keeps every point and the CLI formats them all: at the cap,
+# `qcoproc trajectory --phi-over-pi 0 --gamma-over-pi 1 --steps 100000` takes
+# 3.1-3.4 s and 63 MB peak RSS and writes 2.3 MB of CSV (JSON: 155 MB, 8.6 MB)
+# on 2 CPUs, Python 3.11, numpy 2.4; time and memory grow linearly in the steps.
+MAX_TRAJECTORY_STEPS = 10**5
+
+
 def rotation_trajectory(key: RotationKey, n_steps: int = 20) -> list[BlochVector]:
     """Bloch angles of Rxy(phi, gamma*s/n)|0> for s = 0..n_steps."""
     if n_steps < 1:
         raise ValidationError("n_steps must be >= 1")
+    if n_steps > MAX_TRAJECTORY_STEPS:
+        raise ValidationError(f"n_steps must be <= {MAX_TRAJECTORY_STEPS}, got {n_steps}")
     ground = np.array([1.0, 0.0], dtype=complex)
     points = []
     for s in range(n_steps + 1):

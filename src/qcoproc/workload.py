@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -188,6 +188,9 @@ def gate_census(program: QuantumProgram) -> GateCensus:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The sweep's settings.  Its fields are the config file's schema, and
+    ``__post_init__`` holds every rule, whichever way a config is built."""
+
     w_values: tuple = (1.0, 25.0)
     n_realizations: int = 60
     tau: float = DEFAULT_TAU
@@ -201,6 +204,16 @@ class ExperimentConfig:
     share_realizations_across_w: bool = False
 
     def __post_init__(self):
+        for f in fields(self):  # a field's type is its default's
+            value = getattr(self, f.name)
+            if type(f.default) is int and type(value) is not int:  # True is not an integer
+                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
+            if type(f.default) is bool and not isinstance(value, bool):
+                raise ValidationError(f"{f.name} must be true or false, got {value!r}")
+        object.__setattr__(self, "w_values", simulator.as_floats("w_values", self.w_values))
+        object.__setattr__(self, "tau", simulator.as_float("tau", self.tau))
+        if self.noise is not None and not isinstance(self.noise, NoiseParams):
+            raise ValidationError(f"noise must be NoiseParams or None, got {self.noise!r}")
         if not self.w_values:
             raise ValidationError("w_values must name at least one disorder strength")
         if not all(math.isfinite(w) for w in self.w_values):
@@ -225,88 +238,37 @@ class ExperimentConfig:
         if self.measurement_mode not in ("exact", "sampled"):
             raise ValidationError(f"unknown measurement mode {self.measurement_mode!r}")
 
-    _JSON_FIELDS = ("w_values", "n_realizations", "tau_over_pi", "n_steps",
-                    "master_seed", "backend", "noise", "measurement_mode",
-                    "n_avg", "capacity", "share_realizations_across_w")
-
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
         """Strict loader: unknown fields are rejected, angles are in units of pi."""
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
-        unknown = set(data) - set(ExperimentConfig._JSON_FIELDS)
+        known = {f.name for f in fields(ExperimentConfig)} - {"tau"} | {"tau_over_pi"}
+        unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        kwargs: dict = {}
-        try:
-            if "w_values" in data:
-                kwargs["w_values"] = tuple(_json_number("each w_values entry", w)
-                                           for w in data["w_values"])
-            if "tau_over_pi" in data:
-                kwargs["tau"] = _json_number("tau_over_pi", data["tau_over_pi"]) * math.pi
-            for name in ("n_realizations", "n_steps", "master_seed", "n_avg", "capacity"):
-                if name in data:
-                    if type(data[name]) is not int:  # rejects 2.7, "2" and true
-                        raise ValidationError(
-                            f"{name} must be an integer, got {json.dumps(data[name])}")
-                    kwargs[name] = data[name]
-            for name in ("backend", "measurement_mode"):
-                if name in data:
-                    kwargs[name] = str(data[name])
-            if "share_realizations_across_w" in data:
-                flag = data["share_realizations_across_w"]
-                if not isinstance(flag, bool):
-                    raise ValidationError(
-                        f"share_realizations_across_w must be true or false, "
-                        f"got {json.dumps(flag)}")
-                kwargs["share_realizations_across_w"] = flag
-            noise = data.get("noise")
-            if noise is not None:
-                known = {"t1", "t2", "single_qubit_gate_duration", "cz_duration"}
-                unknown = set(noise) - known
-                if unknown:
-                    raise ValidationError(f"unknown noise fields: {sorted(unknown)}")
-                missing = sorted({"t1", "t2"} - set(noise))
-                if missing:
-                    raise ValidationError(f"noise block lacks {missing}")
-                kwargs["noise"] = NoiseParams(
-                    t1=tuple(_json_number("each t1 entry", x) for x in noise["t1"]),
-                    t2=tuple(_json_number("each t2 entry", x) for x in noise["t2"]),
-                    single_qubit_gate_duration=_json_number(
-                        "single_qubit_gate_duration",
-                        noise.get("single_qubit_gate_duration", 20e-9)),
-                    cz_duration=_json_number("cz_duration", noise.get("cz_duration", 40e-9)))
-        except (TypeError, ValueError, OverflowError) as exc:  # e.g. "capacity": "x"
-            raise ValidationError(f"invalid config value: {exc}") from None
+        kwargs = dict(data)
+        if "tau_over_pi" in kwargs:
+            kwargs["tau"] = simulator.as_float("tau_over_pi", kwargs.pop("tau_over_pi")) * math.pi
+        noise = kwargs.get("noise")
+        if noise is not None:
+            if not isinstance(noise, dict):
+                raise ValidationError(f"noise must be a JSON object, got {json.dumps(noise)}")
+            unknown = set(noise) - {f.name for f in fields(NoiseParams)}
+            if unknown:
+                raise ValidationError(f"unknown noise fields: {sorted(unknown)}")
+            missing = sorted({"t1", "t2"} - set(noise))
+            if missing:
+                raise ValidationError(f"noise block lacks {missing}")
+            kwargs["noise"] = NoiseParams(**noise)
         return ExperimentConfig(**kwargs)
 
     def to_json_dict(self) -> dict:
-        body = {
-            "w_values": [float(w) for w in self.w_values],
-            "n_realizations": self.n_realizations,
-            "tau_over_pi": round(self.tau / math.pi, 12),
-            "n_steps": self.n_steps,
-            "master_seed": self.master_seed,
-            "backend": self.backend,
-            "measurement_mode": self.measurement_mode,
-            "n_avg": self.n_avg,
-            "capacity": self.capacity,
-            "share_realizations_across_w": self.share_realizations_across_w,
-        }
-        if self.noise is not None:
-            body["noise"] = {
-                "t1": list(self.noise.t1), "t2": list(self.noise.t2),
-                "single_qubit_gate_duration": self.noise.single_qubit_gate_duration,
-                "cz_duration": self.noise.cz_duration,
-            }
+        body = asdict(self)
+        body["tau_over_pi"] = round(body.pop("tau") / math.pi, 12)
+        if self.noise is None:
+            del body["noise"]
         return body
-
-
-def _json_number(name: str, value) -> float:
-    """A JSON number (not a string or true/false) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a JSON number, got {json.dumps(value)}")
-    return float(value)
 
 
 def derive_seed(master_seed: int, w_index: int, realization_index: int) -> int:

@@ -362,6 +362,9 @@ INVALID_INPUTS = {
                                     _text_file(t, "{", "golden.json")], 2),
     "noise-without-t1": (lambda t: ["experiment", "--config", small_config(
         t, backend="noisy", noise={"t2": [4e-6, 4e-6]})], 3),
+    "noise-string": (lambda t: ["experiment", "--config", small_config(
+        t, backend="noisy", noise="t1")], 3),
+    "noise-list-paging": (lambda t: ["paging-report", "--config", small_config(t, noise=[1])], 3),
     "noise-without-t2": (lambda t: ["experiment", "--config", small_config(
         t, backend="noisy", noise={"t1": [2e-5, 2e-5]})], 3),
     # unphysical noise (T2 > 2 T1) is a validation error
@@ -418,6 +421,12 @@ INVALID_INPUTS = {
                                   "--h0x", "nan"], 3),
     "trajectory-phi-nan": (lambda t: ["trajectory", "--phi-over-pi", "nan",
                                       "--gamma-over-pi", "1"], 3),
+    # a step count past the cap is rejected before any step runs
+    "trajectory-steps-above-cap": (lambda t: ["trajectory", "--phi-over-pi", "0",
+                                              "--gamma-over-pi", "1", "--steps",
+                                              simulator.MAX_TRAJECTORY_STEPS + 1], 3),
+    "trajectory-steps-1e20": (lambda t: ["trajectory", "--phi-over-pi", "0",
+                                         "--gamma-over-pi", "1", "--steps", 10**20], 3),
     # a repeated w would key two sweeps into one series
     "w-values-repeated": (lambda t: ["experiment", "--config",
                                      small_config(t, w_values=[1.0, 25.0, 1.0])], 3),
@@ -550,3 +559,12 @@ class TestShippedArtifacts:
         config = workload.ExperimentConfig.from_json_dict(data)
         golden = json.loads(GOLDEN.read_text())
         assert golden["config_hash"] == cli.config_hash(config)
+
+    def test_python_built_config_hashes_as_loaded(self):
+        """Integer w and T1/T2 values are stored as floats, so the hash does not
+        depend on whether a config was built in Python or read from a file."""
+        built = workload.ExperimentConfig(
+            w_values=(1, 25), noise=simulator.NoiseParams(t1=(28e-6, 1), t2=(4.2e-6, 2)))
+        loaded = workload.ExperimentConfig.from_json_dict(json.loads(
+            '{"w_values": [1.0, 25.0], "noise": {"t1": [28e-6, 1.0], "t2": [4.2e-6, 2.0]}}'))
+        assert cli.config_hash(built) == cli.config_hash(loaded)

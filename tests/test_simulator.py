@@ -115,6 +115,16 @@ class TestNoiseParams:
         with pytest.raises(InvalidNoise):
             NoiseParams(t1=(1e-6,), t2=(3e-6,))
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("t1", dict(t1=("1",), t2=(1,))), ("t1", dict(t1=(True,), t2=(True,))),
+        ("t2", dict(t1=(1,), t2=None)),
+        ("cz_duration", dict(t1=(1,), t2=(1,), cz_duration="4")),
+        ("single_qubit_gate_duration",
+         dict(t1=(1,), t2=(1,), single_qubit_gate_duration=False))])
+    def test_mistyped_value_rejected_naming_field(self, field, kwargs):
+        with pytest.raises(ValidationError, match=field):
+            NoiseParams(**kwargs)
+
     def test_chip_defaults_are_physical(self):
         noise = NoiseParams.octobox_defaults()
         assert noise.t1 == (28e-6, 22e-6)
@@ -212,7 +222,9 @@ def _kraus_slot_noise(rho: np.ndarray, noise: NoiseParams, d: float, n_qubits: i
     1/Tphi = 1/T2 - 1/(2 T1), each as a sum of K rho K^H."""
     for q in range(n_qubits):
         p = 1.0 - math.exp(-d / noise.t1[q])
-        rho = _apply_kraus(rho, ([[1, 0], [0, math.sqrt(1 - p)]], [[0, math.sqrt(p)], [0, 0]]),
+        # sqrt(1 - p), without the cancellation of 1 - p once exp(-d/T1) nears 1e-15
+        keep = math.exp(-d / (2 * noise.t1[q]))
+        rho = _apply_kraus(rho, ([[1, 0], [0, keep]], [[0, math.sqrt(p)], [0, 0]]),
                            q, n_qubits)
         rate = 1.0 / noise.t2[q] - 0.5 / noise.t1[q]
         flip = (1.0 - math.exp(-d * rate)) / 2.0 if rate > 0 else 0.0
@@ -486,6 +498,18 @@ class TestNaNFailsNormChecks:
                 state.prob_one(0)
             with pytest.raises(InvalidProgram, match="nan"):
                 state.project(0, 1)
+
+    def test_nan_in_discarded_half_survives_reset(self):
+        """Collapse multiplies by the outcome's mask, so NaN * 0 stays NaN and
+        the next probability read fails; masking it away hid the NaN."""
+        sv = StateVector.ground(1)
+        sv.amplitudes = np.array([1, math.nan], dtype=complex)
+        rho = DensityMatrix.ground(1)
+        rho.entries = np.diag([1, math.nan]).astype(complex)
+        for state in (sv, rho):
+            state.reset(0)
+            with pytest.raises(InvalidProgram, match="nan"):
+                state.basis_probabilities()
 
     def test_nan_hamiltonian_rejected(self):
         with pytest.raises(NotHermitian):

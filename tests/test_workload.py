@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcoproc import compiler, simulator, workload
 from qcoproc.compiler import frame_rotate_z_to_y, lower, schedule
@@ -314,6 +316,39 @@ class TestExperiment:
     def test_config_rejects_unknown_fields(self):
         with pytest.raises(ValidationError):
             ExperimentConfig.from_json_dict({"n_realisations": 3})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_steps", 2.5), ("n_realizations", 1.5), ("n_avg", 2.5), ("capacity", True),
+        ("w_values", (True,)), ("share_realizations_across_w", "no"), ("tau", "0.1"),
+        ("tau", 10**400), ("w_values", (10**400,)), ("w_values", 5), ("noise", "t1")])
+    def test_config_rejects_mistyped_value_naming_field(self, field, value):
+        """The constructor holds the type rules, so a config built in Python
+        meets the same checks as one loaded from JSON."""
+        with pytest.raises(ValidationError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @given(config=st.builds(
+        ExperimentConfig,
+        w_values=st.lists(st.integers(-100, 100) | st.floats(-1e6, 1e6), min_size=1,
+                          max_size=3, unique_by=float),
+        n_realizations=st.integers(1, 10**6),
+        # the file stores tau / pi to 12 decimals, which these values survive
+        tau=st.integers(1, 10**6).map(lambda n: n / 10**4 * PI),
+        n_steps=st.integers(0, 100), master_seed=st.integers(0, 2**64),
+        backend=st.sampled_from(["ideal", "noisy"]),
+        noise=st.none() | st.builds(
+            lambda t1, ratios, sq, cz: simulator.NoiseParams(
+                t1=t1, t2=tuple(t * r for t, r in zip(t1, ratios)),
+                single_qubit_gate_duration=sq, cz_duration=cz),
+            st.lists(st.integers(1, 10) | st.floats(1e-7, 1e-3), min_size=2, max_size=2),
+            st.lists(st.floats(0.01, 2.0), min_size=2, max_size=2),
+            st.floats(1e-10, 1e-6), st.integers(1, 3) | st.floats(1e-10, 1e-6)),
+        measurement_mode=st.sampled_from(["exact", "sampled"]),
+        n_avg=st.integers(1, simulator.MAX_SHOTS), capacity=st.integers(1, 10**9),
+        share_realizations_across_w=st.booleans()))
+    def test_config_survives_json_round_trip(self, config):
+        text = json.dumps(config.to_json_dict())
+        assert ExperimentConfig.from_json_dict(json.loads(text)) == config
 
     def test_seed_derivation_stable(self):
         assert derive_seed(2020, 0, 0) == derive_seed(2020, 0, 0)
