@@ -30,7 +30,7 @@ for i in range(8):
           f"{report.hits:4d}   {len(report.evicted):7d}   {rct.load_counter:12d}")
 
 print(f"\nregistry now knows {len(qos)} rotations; "
-      f"{len(rct.resident)} are loaded")
+      f"{len(rct.codewords)} are loaded")
 
 # every instruction of the last program maps to a codeword
 stream = wavemem.assign_codewords(program, rct)

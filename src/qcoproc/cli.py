@@ -82,7 +82,7 @@ def cmd_compile(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValidationError(f"--tolerance must be positive and finite, got {args.tolerance}")
     source = compiler.parse_source_program(_read_text(args.infile))
-    passes = args.passes.split(",") if args.passes else list(compiler.PASSES)
+    passes = list(compiler.PASSES) if args.passes is None else args.passes.split(",")
     compiled = compiler.run_passes(source, passes)
     text = compiler.emit_source_program(compiled)
     _output(text, args.out)
@@ -257,14 +257,15 @@ def paging_report_text(config: workload.ExperimentConfig) -> str:
     for w, i, _, k, report in workload.paged_programs(config):
         total_loads += len(report.loaded)
         total_hits += report.hits
+        loaded = keys(report.loaded)
         runs.append(f'    {{\n'
                     f'      "dlst": {keys(sorted(report.dlst))},\n'
                     f'      "evicted": {keys(report.evicted)},\n'
                     f'      "hits": {report.hits},\n'
                     f'      "k": {k},\n'
                     f'      "load_counter": {report.load_counter},\n'
-                    f'      "loaded": {keys(report.loaded)},\n'
-                    f'      "mlst": {keys(sorted(report.mlst))},\n'
+                    f'      "loaded": {loaded},\n'
+                    f'      "mlst": {loaded},\n'
                     f'      "realization": {i},\n'
                     f'      "w": {float.__repr__(float(w))}\n'
                     f'    }}')

@@ -238,7 +238,9 @@ def frame_rotate_z_to_y(source: SourceProgram | QuantumProgram) -> SourceProgram
     tail: list[TimeSlot] = []
     for s in source.slots:
         kinds = {type(i) for i in s.instructions}
-        if kinds <= {Reset}:
+        if not kinds:  # an empty slot stays in the phase where it stands
+            {"resets": head, "body": body, "measures": tail}[phase].append(s)
+        elif kinds <= {Reset}:
             if phase != "resets":
                 raise UnsupportedGate("reset after the program prologue")
             head.append(s)

@@ -30,11 +30,10 @@ from itertools import islice
 import numpy as np
 
 from .errors import CapacityExceeded, NotResident
-from .isa import QuantumProgram, RotationKey, Rxy
+from .isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy
 
-CZ_CODEWORD_OFFSET = 0
-MEASURE_CODEWORD_OFFSET = 1
-RESET_CODEWORD_OFFSET = 2
+# Each non-rotation instruction's codeword, as an offset past the rotation space.
+RESERVED_CODEWORDS = {CZ: 0, Measure: 1, Reset: 2}
 
 PULSE_DURATION = 20e-9
 SAMPLE_RATE = 1e9
@@ -81,59 +80,54 @@ class RCT:
     """
 
     capacity: int = 128
-    resident: dict = field(default_factory=dict)   # codeword -> RotationKey
+    codewords: dict = field(default_factory=dict)   # RotationKey -> codeword
     load_counter: int = 0
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
-        self._by_key = {key: cw for cw, key in self.resident.items()}
 
     def codeword_of(self, key: RotationKey) -> int:
         try:
-            return self._by_key[key]
+            return self.codewords[key]
         except KeyError:
             raise NotResident(f"{key} has no codeword") from None
 
     @property
     def cz_codeword(self) -> int:
-        return self.capacity + CZ_CODEWORD_OFFSET
+        return self.capacity + RESERVED_CODEWORDS[CZ]
 
     @property
     def measure_codeword(self) -> int:
-        return self.capacity + MEASURE_CODEWORD_OFFSET
+        return self.capacity + RESERVED_CODEWORDS[Measure]
 
     @property
     def reset_codeword(self) -> int:
-        return self.capacity + RESET_CODEWORD_OFFSET
-
-    def _store(self, codeword: int, key: RotationKey) -> None:
-        self.resident[codeword] = key
-        self._by_key[key] = codeword
-
-    def _evict(self, codeword: int) -> RotationKey:
-        key = self.resident.pop(codeword)
-        del self._by_key[key]
-        return key
+        return self.capacity + RESERVED_CODEWORDS[Reset]
 
 
 @dataclass(frozen=True)
 class PageReport:
-    """What one paging pass did: loaded = missing list, evicted subset of dumping list."""
+    """What one paging pass did: loaded = the sorted missing list, evicted a
+    subset of the dumping list."""
 
-    mlst: frozenset
     dlst: frozenset
     evicted: tuple
     loaded: tuple
     hits: int
     load_counter: int
 
+    @property
+    def mlst(self) -> frozenset:
+        return frozenset(self.loaded)
+
     def to_json_dict(self) -> dict:
+        loaded = [k._asdict() for k in self.loaded]
         return {
-            "mlst": [k._asdict() for k in sorted(self.mlst)],
+            "mlst": loaded,
             "dlst": [k._asdict() for k in sorted(self.dlst)],
             "evicted": [k._asdict() for k in self.evicted],
-            "loaded": [k._asdict() for k in self.loaded],
+            "loaded": loaded,
             "hits": self.hits,
             "load_counter": self.load_counter,
         }
@@ -154,35 +148,30 @@ def page_update(program: QuantumProgram, rct: RCT,
             f"program needs {len(needed)} rotations, table holds {rct.capacity}")
     # One copy of the table's keys; copying the dict reuses its stored hashes,
     # where a set operation on its key view would hash every key again.
-    resident = frozenset(rct._by_key)
-    mlst = frozenset(needed - resident)
+    resident = frozenset(rct.codewords)
     dlst = resident - needed
-    hits = len(needed) - len(mlst)
+    to_load = sorted(needed - resident)
 
-    to_load = sorted(mlst)
     evicted: list[RotationKey] = []
     if to_load:
         # The lowest free codewords, scanned for past the residents rather than
         # taken from a set of all free ones, so a pass does not grow with capacity.
-        free = list(islice((cw for cw in range(rct.capacity) if cw not in rct.resident),
+        used = set(rct.codewords.values())
+        free = list(islice((cw for cw in range(rct.capacity) if cw not in used),
                            len(to_load)))
         n_evict = len(to_load) - len(free)
         if n_evict:
             dlst_sorted = sorted(dlst)
             victims = rng.choice(len(dlst_sorted), size=n_evict, replace=False)
             for victim in (dlst_sorted[i] for i in sorted(victims.tolist())):
-                codeword = rct.codeword_of(victim)
-                rct._evict(codeword)
-                free.append(codeword)
+                free.append(rct.codewords.pop(victim))
                 evicted.append(victim)
             free.sort()
-        for key, codeword in zip(to_load, free):
-            rct._store(codeword, key)
+        rct.codewords.update(zip(to_load, free))
         rct.load_counter += len(to_load)
 
-    report = PageReport(mlst=mlst, dlst=dlst, evicted=tuple(evicted),
-                        loaded=tuple(to_load), hits=hits,
-                        load_counter=rct.load_counter)
+    report = PageReport(dlst=dlst, evicted=tuple(evicted), loaded=tuple(to_load),
+                        hits=len(needed) - len(to_load), load_counter=rct.load_counter)
     return rct, report
 
 
@@ -197,21 +186,13 @@ def assign_codewords(program: QuantumProgram, rct: RCT) -> list[int]:
         if isinstance(instr, Rxy):
             stream.append(rct.codeword_of(instr.key))
         else:
-            stream.append({
-                "CZ": rct.cz_codeword,
-                "Measure": rct.measure_codeword,
-                "Reset": rct.reset_codeword,
-            }[type(instr).__name__])
+            stream.append(rct.capacity + RESERVED_CODEWORDS[type(instr)])
     return stream
 
 
 def export_pulse_library(rct: RCT, qos: dict) -> str:
     """JSON map codeword -> {phi_over_pi, gamma_over_pi, samples: [[re, im], ...]}."""
-    lib = {}
-    for codeword in sorted(rct.resident):
-        key = rct.resident[codeword]
-        lib[str(codeword)] = {
-            **key._asdict(),
-            "samples": qos[key].view(float).reshape(-1, 2).tolist(),
-        }
+    lib = {str(codeword): {**key._asdict(),
+                           "samples": qos[key].view(float).reshape(-1, 2).tolist()}
+           for key, codeword in rct.codewords.items()}
     return json.dumps(lib, indent=2, sort_keys=True)

@@ -280,14 +280,14 @@ def test_criterion_6_paging_invariants(default_experiment):
                             np.random.default_rng(seed), seed=seed)
         program = build_native_circuit(r, 10)
         needed = wavemem.program_rotation_keys(program)
-        if len(rct.resident) == rct.capacity:
+        if len(rct.codewords) == rct.capacity:
             table_full_seen = True
-            resident = set(rct.resident.values())
+            resident = set(rct.codewords)
             mlst = needed - resident
             dlst = resident - needed
             assert len(mlst) <= len(dlst)
         _, rep = wavemem.page_update(program, rct, rng_evict)
-        assert needed <= set(rct.resident.values())
+        assert needed <= set(rct.codewords)
         assert len(rep.loaded) == len(rep.mlst)
     assert table_full_seen
 

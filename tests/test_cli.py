@@ -136,6 +136,23 @@ class TestCompile:
         src.write_text("hadamard q0\n")
         assert run_cli("compile", str(src)) == 2
 
+    def test_empty_slot_kept_in_its_phase(self, tmp_path):
+        """An empty slot between gates is neither a reset nor a measurement:
+        the default passes accept it, and frame-rotate keeps it in the body."""
+        src = _text_file(tmp_path, "rx q0, 0.5\n{ }\nrx q0, 0.5\nmeasure q0 -> m\n",
+                         "in.src")
+        without = _text_file(tmp_path, "rx q0, 0.5\nrx q0, 0.5\nmeasure q0 -> m\n",
+                             "without.src")
+        outs = {name: tmp_path / f"{name}.qasm" for name in ("default", "rotated", "without")}
+        assert run_cli("compile", str(src), "--out", str(outs["default"])) == 0
+        assert run_cli("compile", str(src), "--passes", "frame-rotate,lower",
+                       "--out", str(outs["rotated"])) == 0
+        assert run_cli("compile", str(without), "--out", str(outs["without"])) == 0
+        rotated = outs["rotated"].read_text().splitlines()
+        assert rotated[1:4] == ["rxy q0, 0.0, 0.5", "{  }", "rxy q0, 0.0, 0.5"]
+        # schedule repacks instructions into slots, so an empty one leaves nothing
+        assert outs["default"].read_text() == outs["without"].read_text()
+
     def test_full_pipeline_on_workload_source(self, tmp_path):
         from qcoproc.compiler import emit_source_program
         r = workload.DisorderRealization(w=1.0, tau=0.04 * math.pi, n_steps=2,
@@ -276,6 +293,24 @@ class TestExperiment:
         assert run_cli("experiment", "--config", str(other), "--out", str(out),
                        "--golden", str(golden)) == 3
 
+    @pytest.mark.parametrize("foreign", ["capacity-flag", "hash"])
+    def test_golden_from_another_config_exits_3(self, tmp_path, capsys, foreign):
+        """A golden record of another config is a validation error, not a mismatch."""
+        config = small_config(tmp_path)
+        golden = tmp_path / "golden.json"
+        out = tmp_path / "out"
+        argv = ["experiment", "--config", str(config), "--out", str(out)]
+        if foreign == "hash":
+            golden.write_text(json.dumps({"config_hash": "x"}))
+        else:
+            run_cli(*argv, "--write-golden", str(golden))
+            argv += ["--capacity", "20"]
+        capsys.readouterr()
+        assert run_cli(*argv, "--golden", str(golden)) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: golden record was produced under a different config")
+
     def test_unknown_config_field_rejected(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n_realisations": 3}))
@@ -332,6 +367,13 @@ INVALID_INPUTS = {
     "n-avg-0-sampled": (lambda t: ["experiment", "--config", small_config(
         t, measurement_mode="sampled", n_avg=0)], 3),
     "n-steps-negative": (lambda t: ["experiment", "--config", small_config(t, n_steps=-1)], 3),
+    # a step count past the cap is rejected before any work is done
+    "n-steps-1e17": (lambda t: ["experiment", "--config", small_config(
+        t, w_values=[1.0], n_realizations=1, n_steps=10**17)], 3),
+    "n-steps-1e17-paging": (lambda t: ["paging-report", "--config", small_config(
+        t, w_values=[1.0], n_realizations=1, n_steps=10**17)], 3),
+    "gen-n-steps-above-cap": (lambda t: ["gen", "--w", "1", "--k", "1", "--seed", "1",
+                                         "--n-steps", workload.MAX_STEPS + 1], 3),
     "tau-0": (lambda t: ["experiment", "--config", small_config(t, tau_over_pi=0.0)], 3),
     "w-values-empty": (lambda t: ["experiment", "--config", small_config(t, w_values=[])], 3),
     "w-values-nan": (lambda t: ["experiment", "--config", small_config(t, w_values=[math.nan])], 3),
@@ -453,6 +495,9 @@ INVALID_INPUTS = {
     "compile-not-utf8": (lambda t: ["compile", _bytes_file(
         t, b"\xff\xfe rxy q0, 0, 1\n", "p.src")], 2),
     # an equivalence tolerance that is not positive and finite
+    # an empty pass list names the pass '', which does not exist
+    "compile-passes-empty": (lambda t: ["compile", _text_file(t, "cnot q1, q0\n", "p.src"),
+                                        "--passes", ""], 3),
     "compile-tolerance-nan": (lambda t: ["compile", _text_file(t, "cnot q1, q0\n", "p.src"),
                                          "--tolerance", "nan"], 3),
     "compile-tolerance-negative": (lambda t: ["compile", _text_file(

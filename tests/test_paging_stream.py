@@ -1,6 +1,7 @@
 """The sweep's paging stream against a replay that pages every program it names."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,3 +44,24 @@ def _per_program_replay(config: ExperimentConfig):
 @given(_configs())
 def test_stream_equals_per_program_replay(config):
     assert list(paged_programs(config)) == list(_per_program_replay(config))
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 4])
+def test_stream_scans_each_built_program_once(monkeypatch, n_steps):
+    """One scan for the k = 0 program and one for the k = 1 program that every
+    k >= 1 shares, yet the registry ends as the per-program replay's."""
+    registries = []  # the registry each scan extended, in call order
+    scan = wavemem.dgs_scan
+
+    def recording_scan(program, qos):
+        registries.append(qos)
+        return scan(program, qos)
+
+    monkeypatch.setattr(wavemem, "dgs_scan", recording_scan)
+    config = ExperimentConfig(w_values=(1.0, 25.0), n_realizations=3, n_steps=n_steps,
+                              capacity=16)
+    list(paged_programs(config))
+    n_scans, stream_registry = len(registries), registries[-1]
+    list(_per_program_replay(config))
+    assert n_scans == 2 * 3 * min(n_steps + 1, 2)
+    assert stream_registry.keys() == registries[-1].keys()

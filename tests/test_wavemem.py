@@ -70,12 +70,12 @@ finite_keys = st.builds(RotationKey.make, st.floats(-50, 50), st.floats(-50, 50)
 
 def mlst(program, rct):
     """Rotations required by the program but not loaded."""
-    return program_rotation_keys(program) - set(rct.resident.values())
+    return program_rotation_keys(program) - set(rct.codewords)
 
 
 def dlst(program, rct):
     """Rotations loaded but not used by the program."""
-    return set(rct.resident.values()) - program_rotation_keys(program)
+    return set(rct.codewords) - program_rotation_keys(program)
 
 
 class TestSynthesizePulse:
@@ -176,7 +176,7 @@ class TestMlstDlst:
 
     def test_set_algebra(self):
         a, b, c, d = key(0, 0.1), key(0, 0.2), key(0, 0.3), key(0, 0.4)
-        rct = RCT(capacity=4, resident={0: a, 1: b, 2: c})
+        rct = RCT(capacity=4, codewords={a: 0, b: 1, c: 2})
         program = QuantumProgram(1, (slot(Rxy(0, b)), slot(Rxy(0, d))))
         assert mlst(program, rct) == {d}
         assert dlst(program, rct) == {a, c}
@@ -189,7 +189,7 @@ class TestPageUpdate:
         program = native(realization(2), 10)
         rct = RCT(capacity=16)
         _, report = page_update(program, rct, np.random.default_rng(0))
-        assert program_rotation_keys(program) <= set(rct.resident.values())
+        assert program_rotation_keys(program) <= set(rct.codewords)
         assert set(report.loaded) == set(report.mlst)
         assert report.hits == 0
 
@@ -245,7 +245,7 @@ class TestPageUpdate:
         _, report = page_update(program2, rct, rng)
         assert set(report.evicted) <= set(report.dlst)
         assert len(report.evicted) == 4  # full table, 4 new disorder keys
-        assert program_rotation_keys(program2) <= set(rct.resident.values())
+        assert program_rotation_keys(program2) <= set(rct.codewords)
 
     def test_retained_entries_keep_codewords(self):
         rct = RCT(capacity=10)
@@ -262,7 +262,7 @@ class TestPageUpdate:
         page_update(native(realization(0), 10), rct, rng)
         for seed in range(1, 30):
             program = native(realization(seed), 10)
-            assert len(rct.resident) == 10  # table stays full
+            assert len(rct.codewords) == 10  # table stays full
             assert len(mlst(program, rct)) <= len(dlst(program, rct))
             page_update(program, rct, rng)
 
@@ -293,7 +293,7 @@ class TestPageUpdate:
         finally:
             tracemalloc.stop()
         assert len(report.loaded) == 10
-        assert sorted(rct.resident) == list(range(10))
+        assert sorted(rct.codewords.values()) == list(range(10))
         assert peak < 1 << 20
 
     @settings(max_examples=300, deadline=None)
@@ -309,12 +309,12 @@ class TestPageUpdate:
                                label="needed"))
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
-        rct = RCT(capacity=capacity, resident=dict(resident))
+        rct = RCT(capacity=capacity, codewords={k_: cw for cw, k_ in resident.items()})
         program = QuantumProgram(1, tuple(slot(Rxy(0, k_)) for k_ in by_phi_then_gamma(needed)))
         _, report = page_update(program, rct, np.random.default_rng(seed))
         want, evicted, loaded = set_based_page_update(
             needed, dict(resident), capacity, np.random.default_rng(seed))
-        assert rct.resident == want
+        assert rct.codewords == {k_: cw for cw, k_ in want.items()}
         assert all(rct.codeword_of(k_) == cw for cw, k_ in want.items())
         assert report.evicted == tuple(evicted)
         assert report.loaded == tuple(loaded)
@@ -368,18 +368,17 @@ class TestSerialization:
         json.dumps(body)  # serializable
 
     @given(st.lists(finite_keys, max_size=6), st.lists(finite_keys, max_size=6),
-           st.lists(finite_keys, max_size=6), st.lists(finite_keys, max_size=6))
-    def test_page_report_json_keeps_field_form(self, mlst_, dlst_, evicted, loaded):
-        """Each rotation is {"phi_over_pi", "gamma_over_pi"} in that order, and
-        MLST/DLST list by phi, then gamma."""
+           st.lists(finite_keys, max_size=6))
+    def test_page_report_json_keeps_field_form(self, dlst_, evicted, loaded):
+        """Each rotation is {"phi_over_pi", "gamma_over_pi"} in that order, the
+        DLST lists by phi, then gamma, and the MLST is the loaded list."""
         def key_json(k_):
             return {"phi_over_pi": k_.phi_over_pi, "gamma_over_pi": k_.gamma_over_pi}
 
-        report = PageReport(mlst=frozenset(mlst_), dlst=frozenset(dlst_),
-                            evicted=tuple(evicted), loaded=tuple(loaded), hits=3,
-                            load_counter=7)
+        report = PageReport(dlst=frozenset(dlst_), evicted=tuple(evicted),
+                            loaded=tuple(loaded), hits=3, load_counter=7)
         expected = {
-            "mlst": [key_json(k_) for k_ in by_phi_then_gamma(set(mlst_))],
+            "mlst": [key_json(k_) for k_ in loaded],
             "dlst": [key_json(k_) for k_ in by_phi_then_gamma(set(dlst_))],
             "evicted": [key_json(k_) for k_ in evicted],
             "loaded": [key_json(k_) for k_ in loaded],

@@ -67,6 +67,17 @@ class TestSampleDisorder:
         with pytest.raises(ValidationError, match=f"^{field} must"):
             DisorderRealization(**{**fields, field: value})
 
+    @pytest.mark.parametrize("n_steps", [-1, workload.MAX_STEPS + 1, 10**17])
+    def test_n_steps_outside_0_to_cap_rejected(self, n_steps):
+        """A realization and a config refuse a step count past the cap up front."""
+        assert DisorderRealization(w=1.0, tau=DEFAULT_TAU, n_steps=workload.MAX_STEPS,
+                                   h0x=0.0, h0y=0.0, h1x=0.0, h1y=0.0)
+        assert ExperimentConfig(n_steps=workload.MAX_STEPS)
+        with pytest.raises(ValidationError, match="^n_steps must"):
+            sample_disorder(1.0, DEFAULT_TAU, n_steps, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="^n_steps must"):
+            ExperimentConfig(n_steps=n_steps)
+
 
 class TestSourceCircuit:
     def test_step_zero_is_prologue_and_measure(self):
