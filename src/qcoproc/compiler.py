@@ -292,18 +292,17 @@ def schedule(program: QuantumProgram) -> QuantumProgram:
 
 # --- equivalence ------------------------------------------------------------------
 
-# float64 cannot resolve |tr(U+V)|/d defects below ~1e-13 (matrix entries carry
-# relative rounding of ~1e-16); overlaps that close count as exact.
-_RESOLUTION_SQ = 1e-13
-
-
 def equivalence_check(U: np.ndarray, V: np.ndarray, tol: float = 1e-10) -> EquivalenceReport:
-    """Phase-invariant distance sqrt(1 - |tr(U+V)|/d), clamped to [0, 1]."""
+    """Phase-invariant distance ||e^{i theta} U - V||_F / sqrt(2d), at most 1.
+
+    e^{i theta} = tr(U+V)/|tr(U+V)| (1 for a zero trace).  For unitaries this is
+    sqrt(1 - |tr(U+V)|/d) without its cancellation, so it resolves to ~1e-15."""
     if U.shape != V.shape or U.shape[0] != U.shape[1]:
         raise DimensionMismatch(f"cannot compare shapes {U.shape} and {V.shape}")
     d = U.shape[0]
-    dist_sq = 1.0 - abs(np.trace(U.conj().T @ V)) / d
-    dist = math.sqrt(min(max(dist_sq, 0.0), 1.0)) if dist_sq > _RESOLUTION_SQ else 0.0
+    overlap = np.trace(U.conj().T @ V)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    dist = min(float(np.linalg.norm(phase * U - V)) / math.sqrt(2 * d), 1.0)
     return EquivalenceReport(phase_invariant_distance=dist,
                              equivalent=dist < tol, tolerance=tol)
 

@@ -42,10 +42,6 @@ class CapacityExceeded(QcoprocError):
     """A program needs more distinct rotations than the codeword table holds."""
 
 
-class NotResident(QcoprocError):
-    """Codeword lookup for a rotation that is not loaded."""
-
-
 class InvalidProgram(ValidationError):
     """A backend was given a program it cannot execute."""
 

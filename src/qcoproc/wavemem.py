@@ -13,6 +13,9 @@ Three mechanisms make that work:
   randomly chosen rotations resident but unused (the dumping list), free
   codewords being consumed first.
 
+:func:`assign_codewords` turns a paged program into the codeword stream the
+electronics run.
+
 Pulses are a deterministic stand-in: a unit-peak Gaussian envelope with
 sigma = T/4 over a ``PULSE_DURATION`` = 20 ns gate at ``SAMPLE_RATE`` =
 1 GS/s, amplitude gamma/pi, complex phase e^{i*phi}.  Full scale corresponds
@@ -22,14 +25,13 @@ exceeds twice full scale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from .errors import CapacityExceeded, NotResident
+from .errors import CapacityExceeded
 from .isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy
 
 # Each non-rotation instruction's codeword, as an offset past the rotation space.
@@ -75,8 +77,8 @@ def dgs_scan(program: QuantumProgram, qos: dict) -> tuple[dict, set]:
 class RCT:
     """Bounded codeword table tracking which rotations are loaded.
 
-    Rotation codewords occupy [0, capacity); cZ, measure and reset use fixed
-    reserved codewords just past the rotation space.  Single-writer.
+    Rotation codewords occupy [0, capacity); :func:`assign_codewords` puts
+    cZ, measure and reset just past the rotation space.  Single-writer.
     """
 
     capacity: int = 128
@@ -86,24 +88,6 @@ class RCT:
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
-
-    def codeword_of(self, key: RotationKey) -> int:
-        try:
-            return self.codewords[key]
-        except KeyError:
-            raise NotResident(f"{key} has no codeword") from None
-
-    @property
-    def cz_codeword(self) -> int:
-        return self.capacity + RESERVED_CODEWORDS[CZ]
-
-    @property
-    def measure_codeword(self) -> int:
-        return self.capacity + RESERVED_CODEWORDS[Measure]
-
-    @property
-    def reset_codeword(self) -> int:
-        return self.capacity + RESERVED_CODEWORDS[Reset]
 
 
 @dataclass(frozen=True)
@@ -176,23 +160,11 @@ def page_update(program: QuantumProgram, rct: RCT,
 
 
 def assign_codewords(program: QuantumProgram, rct: RCT) -> list[int]:
-    """One codeword per instruction in program order.
+    """The codeword stream, one per instruction in program order: the one rule
+    from instruction to codeword.  A rotation reads its table codeword; cZ,
+    measure and reset read ``capacity + RESERVED_CODEWORDS[kind]``.  Raises
+    KeyError if a rotation is not resident."""
+    return [rct.codewords[instr.key] if isinstance(instr, Rxy)
+            else rct.capacity + RESERVED_CODEWORDS[type(instr)]
+            for instr in program.instructions()]
 
-    Rotations use their table codewords; cZ/measure/reset map to the reserved
-    fixed codewords.  Raises NotResident if a rotation is not loaded.
-    """
-    stream: list[int] = []
-    for instr in program.instructions():
-        if isinstance(instr, Rxy):
-            stream.append(rct.codeword_of(instr.key))
-        else:
-            stream.append(rct.capacity + RESERVED_CODEWORDS[type(instr)])
-    return stream
-
-
-def export_pulse_library(rct: RCT, qos: dict) -> str:
-    """JSON map codeword -> {phi_over_pi, gamma_over_pi, samples: [[re, im], ...]}."""
-    lib = {str(codeword): {**key._asdict(),
-                           "samples": qos[key].view(float).reshape(-1, 2).tolist()}
-           for key, codeword in rct.codewords.items()}
-    return json.dumps(lib, indent=2, sort_keys=True)

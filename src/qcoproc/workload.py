@@ -343,9 +343,10 @@ def _imbalance_curve(r: DisorderRealization, config: ExperimentConfig,
 def paged_programs(config: ExperimentConfig):
     """The sweep's program stream, paged through one waveform context.
 
-    Samples each realization, scans each distinct program it builds once,
-    then pages its Trotter-step programs in canonical order (w index,
-    realization index, k), and yields ``(w, i, r, k, report)``.
+    Samples each realization, scans its last built program once (its rotation
+    set contains the k = 0 program's), then pages its Trotter-step programs in
+    canonical order (w index, realization index, k), and yields
+    ``(w, i, r, k, report)``.
     Deterministic for a given master seed.
     """
     rct = wavemem.RCT(capacity=config.capacity)
@@ -358,8 +359,7 @@ def paged_programs(config: ExperimentConfig):
             r = sample_disorder(w, config.tau, config.n_steps,
                                 np.random.default_rng(seed), seed=seed)
             programs = [build_native_circuit(r, k) for k in range(min(r.n_steps, 1) + 1)]
-            for program in programs:
-                wavemem.dgs_scan(program, qos)
+            wavemem.dgs_scan(programs[-1], qos)
             for k in range(r.n_steps + 1):
                 # paging reads only the program's rotation set, the same for every k >= 1
                 program = programs[min(k, 1)]

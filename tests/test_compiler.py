@@ -93,6 +93,15 @@ class TestEquivalenceCheck:
         report = equivalence_check(np.eye(2, dtype=complex), X)
         assert report.phase_invariant_distance == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("eps", [1e-7, 1e-8])
+    def test_small_rotation_resolved(self, eps):
+        """Rz(eps) against I sits eps/(2 sqrt 2) away, far below 1 - |tr|/d's
+        float64 resolution, and is not equivalent at 1e-9."""
+        report = equivalence_check(rz_ref(eps), np.eye(2, dtype=complex), tol=1e-9)
+        assert report.phase_invariant_distance == pytest.approx(eps / (2 * math.sqrt(2)),
+                                                                rel=1e-6)
+        assert not report.equivalent
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             equivalence_check(np.eye(2, dtype=complex), np.eye(4, dtype=complex))

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoproc import wavemem
-from qcoproc.workload import (ExperimentConfig, build_native_circuit, derive_seed,
-                              paged_programs, sample_disorder)
+from qcoproc.isa import Rxy
+from qcoproc.wavemem import program_rotation_keys
+from qcoproc.workload import (DEFAULT_TAU, ExperimentConfig, build_native_circuit,
+                              derive_seed, paged_programs, sample_disorder)
 
 
 @st.composite
@@ -22,8 +24,25 @@ def _configs(draw):
         share_realizations_across_w=draw(st.booleans()))
 
 
+def _assert_stream_sound(program, rct):
+    """The table and the codeword stream ``assign_codewords`` reads from it
+    stay sound: distinct rotation codewords in [0, capacity), one codeword per
+    rotation, and cZ/measure/reset at their reserved codewords."""
+    table = list(rct.codewords.values())
+    assert len(set(table)) == len(table)
+    assert all(0 <= cw < rct.capacity for cw in table)
+    by_key: dict = {}
+    for instr, cw in zip(program.instructions(), wavemem.assign_codewords(program, rct)):
+        if isinstance(instr, Rxy):
+            assert by_key.setdefault(instr.key, cw) == cw
+        else:
+            assert cw == rct.capacity + wavemem.RESERVED_CODEWORDS[type(instr)]
+    assert len(set(by_key.values())) == len(by_key)
+
+
 def _per_program_replay(config: ExperimentConfig):
-    """Build, scan and page ``build_native_circuit(r, k)`` for every (w, i, k)."""
+    """Build, scan and page ``build_native_circuit(r, k)`` for every (w, i, k),
+    checking the codeword stream after every pass."""
     rct = wavemem.RCT(capacity=config.capacity)
     qos: dict = {}
     evict_rng = np.random.default_rng(derive_seed(config.master_seed, 0xE, 0xE))
@@ -37,6 +56,7 @@ def _per_program_replay(config: ExperimentConfig):
                 program = build_native_circuit(r, k)
                 wavemem.dgs_scan(program, qos)
                 _, report = wavemem.page_update(program, rct, evict_rng)
+                _assert_stream_sound(program, rct)
                 yield w, i, r, k, report
 
 
@@ -46,10 +66,19 @@ def test_stream_equals_per_program_replay(config):
     assert list(paged_programs(config)) == list(_per_program_replay(config))
 
 
+@settings(max_examples=60, deadline=None)
+@given(w=st.floats(0.0, 30.0), n_steps=st.integers(1, 10), seed=st.integers(0, 2**32))
+def test_first_interval_program_holds_every_k0_rotation(w, n_steps, seed):
+    """What lets the stream scan only the last program it builds."""
+    r = sample_disorder(w, DEFAULT_TAU, n_steps, np.random.default_rng(seed), seed=seed)
+    assert program_rotation_keys(build_native_circuit(r, 0)) \
+        <= program_rotation_keys(build_native_circuit(r, 1))
+
+
 @pytest.mark.parametrize("n_steps", [0, 1, 4])
-def test_stream_scans_each_built_program_once(monkeypatch, n_steps):
-    """One scan for the k = 0 program and one for the k = 1 program that every
-    k >= 1 shares, yet the registry ends as the per-program replay's."""
+def test_stream_scans_each_realization_once(monkeypatch, n_steps):
+    """One scan per realization, of the last program it builds, yet the
+    registry ends as the per-program replay's."""
     registries = []  # the registry each scan extended, in call order
     scan = wavemem.dgs_scan
 
@@ -63,5 +92,5 @@ def test_stream_scans_each_built_program_once(monkeypatch, n_steps):
     list(paged_programs(config))
     n_scans, stream_registry = len(registries), registries[-1]
     list(_per_program_replay(config))
-    assert n_scans == 2 * 3 * min(n_steps + 1, 2)
+    assert n_scans == 2 * 3
     assert stream_registry.keys() == registries[-1].keys()

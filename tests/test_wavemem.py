@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoproc import workload
-from qcoproc.errors import CapacityExceeded, NotResident
-from qcoproc.isa import QuantumProgram, RotationKey, Rxy, slot
-from qcoproc.wavemem import (RCT, PageReport, assign_codewords, dgs_scan,
-                             export_pulse_library, page_update, program_rotation_keys,
+from qcoproc.errors import CapacityExceeded
+from qcoproc.isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, slot
+from qcoproc.wavemem import (RCT, RESERVED_CODEWORDS, PageReport, assign_codewords,
+                             dgs_scan, page_update, program_rotation_keys,
                              synthesize_pulse)
 
 PI = math.pi
@@ -251,10 +251,10 @@ class TestPageUpdate:
         rct = RCT(capacity=10)
         rng = np.random.default_rng(0)
         page_update(native(realization(1), 10), rct, rng)
-        fixed_before = {k_: rct.codeword_of(k_) for k_ in FIXED_KEYS}
+        fixed_before = {k_: rct.codewords[k_] for k_ in FIXED_KEYS}
         page_update(native(realization(2), 10), rct, rng)
         for k_, cw in fixed_before.items():
-            assert rct.codeword_of(k_) == cw
+            assert rct.codewords[k_] == cw
 
     def test_mlst_never_exceeds_dlst_when_full(self):
         rct = RCT(capacity=10)
@@ -315,7 +315,6 @@ class TestPageUpdate:
         want, evicted, loaded = set_based_page_update(
             needed, dict(resident), capacity, np.random.default_rng(seed))
         assert rct.codewords == {k_: cw for cw, k_ in want.items()}
-        assert all(rct.codeword_of(k_) == cw for cw, k_ in want.items())
         assert report.evicted == tuple(evicted)
         assert report.loaded == tuple(loaded)
 
@@ -326,7 +325,7 @@ class TestAssignCodewords:
 
     def test_not_resident(self):
         program = QuantumProgram(1, (slot(Rxy(0, key(0, 0.5))),))
-        with pytest.raises(NotResident):
+        with pytest.raises(KeyError):
             assign_codewords(program, RCT(capacity=4))
 
     def test_same_rotation_same_codeword(self):
@@ -345,15 +344,17 @@ class TestAssignCodewords:
         stream = assign_codewords(program, rct)
         census = workload.gate_census(program)
         assert (census.single_qubit, census.two_qubit) == (104, 40)
-        gate_stream = [cw for cw in stream
-                       if cw not in (rct.measure_codeword, rct.reset_codeword)]
+        measure, reset = (rct.capacity + RESERVED_CODEWORDS[kind] for kind in (Measure, Reset))
+        gate_stream = [cw for cw in stream if cw not in (measure, reset)]
         assert len(gate_stream) == 144
-        assert stream.count(rct.cz_codeword) == 40
+        assert stream.count(rct.capacity + RESERVED_CODEWORDS[CZ]) == 40
 
     def test_reserved_codewords_outside_rotation_space(self):
         rct = RCT(capacity=8)
-        assert {rct.cz_codeword, rct.measure_codeword, rct.reset_codeword} \
+        assert {rct.capacity + RESERVED_CODEWORDS[kind] for kind in (CZ, Measure, Reset)} \
             == {8, 9, 10}
+        program = QuantumProgram(2, (slot(Reset(0)), slot(CZ(0, 1)), slot(Measure(0, "m"))))
+        assert assign_codewords(program, rct) == [10, 8, 9]
 
 
 class TestSerialization:
@@ -386,19 +387,6 @@ class TestSerialization:
             "load_counter": 7,
         }
         assert json.dumps(report.to_json_dict()) == json.dumps(expected)
-
-    def test_pulse_library_export(self):
-        program = QuantumProgram(1, (slot(Rxy(0, key(0, 0.5))),))
-        rct = RCT(capacity=4)
-        qos = {}
-        dgs_scan(program, qos)
-        page_update(program, rct, np.random.default_rng(0))
-        lib = json.loads(export_pulse_library(rct, qos))
-        entry = lib[str(rct.codeword_of(key(0, 0.5)))]
-        assert entry["phi_over_pi"] == 0.0
-        assert entry["gamma_over_pi"] == 0.5
-        assert len(entry["samples"]) == 20
-        assert all(len(s) == 2 for s in entry["samples"])
 
 
 class TestExperimentReplay:
