@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, compiler, isa, simulator, workload
-from .errors import (CapacityExceeded, GoldenConfigError, GoldenMismatch,
-                     NonUnitarySlot, ParseError, QcoprocError, ValidationError)
+from .errors import (CapacityExceeded, GoldenMismatch, NonUnitarySlot, ParseError,
+                     QcoprocError, ValidationError)
 
 EXIT_CODES = (
     (ParseError, 2),
@@ -162,7 +162,7 @@ def compare_golden(config: workload.ExperimentConfig,
     if not isinstance(golden, dict):
         raise GoldenMismatch("golden record must be a JSON object")
     if golden.get("config_hash") != config_hash(config):
-        raise GoldenConfigError("golden record was produced under a different config")
+        raise ValidationError("golden record was produced under a different config")
     values = golden.get("values")
     expected_keys = {repr(float(w)) for w in config.w_values}
     if not isinstance(values, dict) or set(values) != expected_keys:

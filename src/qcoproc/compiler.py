@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import isa
-from .errors import DimensionMismatch, ParseError, SameQubit, UnsupportedGate, ValidationError
+from .errors import ParseError, QcoprocError, ValidationError
 from .isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot
 
 HALF_PI = math.pi / 2
@@ -66,7 +66,7 @@ class CNOT:
 
     def __post_init__(self):
         if self.target == self.control:
-            raise SameQubit(f"cnot operands must differ, got q{self.target} twice")
+            raise ValidationError(f"cnot operands must differ, got q{self.target} twice")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -81,7 +81,7 @@ class CRx:
 
     def __post_init__(self):
         if self.rotated == self.conditioning:
-            raise SameQubit(f"crx operands must differ, got q{self.rotated} twice")
+            raise ValidationError(f"crx operands must differ, got q{self.rotated} twice")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -118,8 +118,6 @@ class EquivalenceReport:
 
 def decompose_cnot(target: int, control: int) -> list:
     """cNOT = Ry(-pi/2)_t . cZ . Ry(pi/2)_t, with Ry written as Rxy(pi/2, .)."""
-    if target == control:
-        raise SameQubit("cnot operands must differ")
     return [
         Rxy(target, RotationKey.make(HALF_PI, -HALF_PI)),
         CZ(target, control),
@@ -129,8 +127,6 @@ def decompose_cnot(target: int, control: int) -> list:
 
 def decompose_crx(alpha: float, rotated: int, conditioning: int) -> list:
     """cRx(a) = cZ . Rx(-a/2) . cZ . Rx(a/2), rotations on the rotated qubit."""
-    if rotated == conditioning:
-        raise SameQubit("crx operands must differ")
     return [
         CZ(rotated, conditioning),
         Rxy(rotated, RotationKey.make(0.0, -alpha / 2)),
@@ -160,7 +156,7 @@ def _lower_gate(gate) -> list:
         return decompose_cnot(gate.target, gate.control)
     if isinstance(gate, CRx):
         return decompose_crx(gate.angle, gate.rotated, gate.conditioning)
-    raise UnsupportedGate(f"cannot lower {gate!r}")
+    raise QcoprocError(f"cannot lower {gate!r}")
 
 
 def _map_slots(slots, gate_map) -> list[TimeSlot]:
@@ -213,7 +209,7 @@ def _conjugate_gate(gate) -> list:
             return [Rz(gate.qubit, -gate.key.gamma)]
         if gate.key.phi_over_pi == 1.5:
             return [Rz(gate.qubit, gate.key.gamma)]
-        raise UnsupportedGate(f"cannot frame-rotate general {gate!r}")
+        raise QcoprocError(f"cannot frame-rotate general {gate!r}")
     if isinstance(gate, CNOT):
         return [Rx(gate.control, HALF_PI), gate, Rx(gate.control, -HALF_PI)]
     if isinstance(gate, CRx):
@@ -222,7 +218,7 @@ def _conjugate_gate(gate) -> list:
         sandwich_in = [Rx(gate.qa, HALF_PI), Rx(gate.qb, HALF_PI)]
         sandwich_out = [Rx(gate.qa, -HALF_PI), Rx(gate.qb, -HALF_PI)]
         return sandwich_in + [gate] + sandwich_out
-    raise UnsupportedGate(f"cannot frame-rotate {gate!r}")
+    raise QcoprocError(f"cannot frame-rotate {gate!r}")
 
 
 def frame_rotate_z_to_y(source: SourceProgram | QuantumProgram) -> SourceProgram:
@@ -242,16 +238,16 @@ def frame_rotate_z_to_y(source: SourceProgram | QuantumProgram) -> SourceProgram
             {"resets": head, "body": body, "measures": tail}[phase].append(s)
         elif kinds <= {Reset}:
             if phase != "resets":
-                raise UnsupportedGate("reset after the program prologue")
+                raise QcoprocError("reset after the program prologue")
             head.append(s)
         elif kinds <= {Measure}:
             phase = "measures"
             tail.append(s)
         elif Measure in kinds or Reset in kinds:
-            raise UnsupportedGate("slot mixes measurement/reset with gates")
+            raise QcoprocError("slot mixes measurement/reset with gates")
         else:
             if phase == "measures":
-                raise UnsupportedGate("gate after measurement")
+                raise QcoprocError("gate after measurement")
             phase = "body"
             body.append(s)
 
@@ -298,7 +294,7 @@ def equivalence_check(U: np.ndarray, V: np.ndarray, tol: float = 1e-10) -> Equiv
     e^{i theta} = tr(U+V)/|tr(U+V)| (1 for a zero trace).  For unitaries this is
     sqrt(1 - |tr(U+V)|/d) without its cancellation, so it resolves to ~1e-15."""
     if U.shape != V.shape or U.shape[0] != U.shape[1]:
-        raise DimensionMismatch(f"cannot compare shapes {U.shape} and {V.shape}")
+        raise QcoprocError(f"cannot compare shapes {U.shape} and {V.shape}")
     d = U.shape[0]
     overlap = np.trace(U.conj().T @ V)
     phase = overlap / abs(overlap) if overlap else 1.0
@@ -328,7 +324,7 @@ def run_passes(program, passes) -> SourceProgram | QuantumProgram:
         elif name == "schedule":
             if not isinstance(program, QuantumProgram):
                 if any(not isinstance(g, isa.NATIVE_KINDS) for g in program.instructions()):
-                    raise UnsupportedGate("schedule requires a native program; run lower first")
+                    raise QcoprocError("schedule requires a native program; run lower first")
                 program = QuantumProgram(program.n_qubits, program.slots)
             program = schedule(program)
         else:

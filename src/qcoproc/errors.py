@@ -1,6 +1,17 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit: one class per distinct handling.
 
-The CLI maps these onto distinct process exit codes; see ``qcoproc.cli``.
+``qcoproc.cli.main`` exits with each class's code (its ``EXIT_CODES`` table, 1
+for the rest):
+
+* ``QcoprocError`` (exit 1): any other error, e.g. a gate a compiler pass
+  cannot handle, or a non-Hermitian Hamiltonian;
+* ``ParseError`` (exit 2): text that does not conform to its grammar;
+* ``ValidationError`` (exit 3): a program, configuration or argument that
+  violates a rule;
+* ``NonUnitarySlot`` (exit 1): a unitary was asked of measure/reset, which
+  ``qcoproc compile`` catches to skip its equivalence check;
+* ``CapacityExceeded`` (exit 4): the codeword table is too small;
+* ``GoldenMismatch`` (exit 5): results disagree with a golden record.
 """
 
 
@@ -26,49 +37,9 @@ class NonUnitarySlot(QcoprocError):
     """A unitary was requested for a slot containing measure/reset."""
 
 
-class SameQubit(ValidationError):
-    """A two-qubit gate was given identical operands."""
-
-
-class UnsupportedGate(QcoprocError):
-    """A compiler pass met a gate outside its recognized vocabulary."""
-
-
-class DimensionMismatch(QcoprocError):
-    """Two matrices of different dimensions were compared."""
-
-
 class CapacityExceeded(QcoprocError):
     """A program needs more distinct rotations than the codeword table holds."""
 
 
-class InvalidProgram(ValidationError):
-    """A backend was given a program it cannot execute."""
-
-
-class InvalidNoise(ValidationError):
-    """Noise parameters are unphysical (e.g. T2 > 2*T1)."""
-
-
-class NotHermitian(QcoprocError):
-    """A Hermitian matrix was expected."""
-
-
-class NotNormalized(QcoprocError):
-    """A normalized state vector was expected."""
-
-
-class StepOutOfRange(ValidationError):
-    """Trotter step index outside 0..n_steps."""
-
-
-class OutOfRange(QcoprocError):
-    """A probability argument fell outside [0, 1]."""
-
-
 class GoldenMismatch(QcoprocError):
     """Experiment results disagree with a golden record."""
-
-
-class GoldenConfigError(ValidationError):
-    """A golden record was produced under a different configuration."""

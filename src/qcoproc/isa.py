@@ -167,16 +167,6 @@ class QuantumProgram:
     def __post_init__(self):
         check_program(self, NATIVE_KINDS, "non-native instruction")
 
-    @property
-    def registers(self) -> tuple[str, ...]:
-        """Classical registers, in order of first measurement."""
-        names: list[str] = []
-        for s in self.slots:
-            for instr in s.instructions:
-                if isinstance(instr, Measure) and instr.register not in names:
-                    names.append(instr.register)
-        return tuple(names)
-
     def instructions(self):
         for s in self.slots:
             yield from s.instructions

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidNoise, InvalidProgram, NotHermitian, NotNormalized,
-                     ValidationError)
+from .errors import QcoprocError, ValidationError
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
                   basis_bit, embed, kron, ordered_product, rxy_matrix, slot_unitary)
 
@@ -49,7 +48,7 @@ def _checked_probabilities(probs: np.ndarray, what: str) -> np.ndarray:
     totals = np.atleast_1d(probs.sum(axis=-1))
     drifted = totals[~(np.abs(totals - 1.0) <= 1e-10)]  # written so that NaN fails
     if drifted.size:
-        raise InvalidProgram(f"{what} drifted to {float(drifted[0])}")
+        raise ValidationError(f"{what} drifted to {float(drifted[0])}")
     probs = probs.clip(min=0.0)
     return probs / probs.sum(axis=-1, keepdims=True)
 
@@ -75,7 +74,7 @@ def as_floats(name: str, values) -> tuple:
 def _clipped_prob_one(p: float, qubit: int) -> float:
     """``p`` clipped to [0, 1]; ``min``/``max`` would turn NaN into a bound."""
     if math.isnan(p):
-        raise InvalidProgram(f"P(|1>) of q{qubit} is nan")
+        raise ValidationError(f"P(|1>) of q{qubit} is nan")
     return min(1.0, max(0.0, p))
 
 
@@ -89,7 +88,7 @@ class StateVector:
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValidationError("amplitude count must be 2**n_qubits")
         if not abs(np.sum(np.abs(self.amplitudes) ** 2) - 1.0) <= 1e-10:  # NaN fails
-            raise NotNormalized("state vector norm differs from 1 beyond 1e-10")
+            raise QcoprocError("state vector norm differs from 1 beyond 1e-10")
 
     @staticmethod
     def ground(n_qubits: int) -> "StateVector":
@@ -110,7 +109,8 @@ class StateVector:
         keep = basis_bit(qubit, self.n_qubits) == outcome
         prob = float(np.sum(np.abs(self.amplitudes[keep]) ** 2))
         if not prob >= 1e-12:  # NaN fails
-            raise InvalidProgram(f"{what} outcome {outcome} on q{qubit} has probability {prob:.3e}")
+            raise ValidationError(f"{what} outcome {outcome} on q{qubit} has "
+                                  f"probability {prob:.3e}")
         # a product, not a mask: NaN in the discarded half survives to the next check
         self.amplitudes = self.amplitudes * keep / math.sqrt(prob)
 
@@ -164,8 +164,8 @@ class DensityMatrix:
         projected = self.entries * np.outer(keep, keep)
         prob = float(np.trace(projected).real)
         if not prob >= 1e-12:  # NaN fails
-            raise InvalidProgram(f"measurement outcome {outcome} on q{qubit} has "
-                                 f"probability {prob:.3e}")
+            raise ValidationError(f"measurement outcome {outcome} on q{qubit} has "
+                                  f"probability {prob:.3e}")
         self.entries = projected / prob
 
     def reset(self, qubit: int) -> None:
@@ -192,15 +192,16 @@ class NoiseParams:
             object.__setattr__(self, name, as_float(name, getattr(self, name)))
         # "not 0 < x < inf" also rejects NaN, which every comparison lets through
         if not all(0 < d < math.inf for d in (self.single_qubit_gate_duration, self.cz_duration)):
-            raise InvalidNoise("gate durations must be positive and finite, got "
-                               f"{self.single_qubit_gate_duration} and {self.cz_duration}")
+            raise ValidationError("gate durations must be positive and finite, got "
+                                  f"{self.single_qubit_gate_duration} and {self.cz_duration}")
         if len(self.t1) != len(self.t2):
-            raise InvalidNoise("t1 and t2 must cover the same qubits")
+            raise ValidationError("t1 and t2 must cover the same qubits")
         for q, (t1, t2) in enumerate(zip(self.t1, self.t2)):
             if not (t1 > 0 and t2 > 0):
-                raise InvalidNoise(f"q{q}: T1 and T2 must be positive numbers, got {t1} and {t2}")
+                raise ValidationError(f"q{q}: T1 and T2 must be positive numbers, "
+                                      f"got {t1} and {t2}")
             if t2 > 2 * t1 + 1e-18:
-                raise InvalidNoise(f"q{q}: T2 = {t2} exceeds 2*T1 = {2 * t1}")
+                raise ValidationError(f"q{q}: T2 = {t2} exceeds 2*T1 = {2 * t1}")
 
     @staticmethod
     def octobox_defaults() -> "NoiseParams":
@@ -250,14 +251,14 @@ class MeasurementRecord:
 
 def _validate_program(program: QuantumProgram) -> None:
     if program.n_qubits < 1:
-        raise InvalidProgram("program has no qubits")
+        raise ValidationError("program has no qubits")
     seen: dict[str, int] = {}
     for instr in program.instructions():
         if isinstance(instr, Measure):
             seen[instr.register] = seen.get(instr.register, 0) + 1
     for name, count in seen.items():
         if count > 1:
-            raise InvalidProgram(f"register {name!r} is measured {count} times")
+            raise ValidationError(f"register {name!r} is measured {count} times")
 
 
 def _measures_are_terminal(program: QuantumProgram) -> bool:
@@ -323,7 +324,7 @@ def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
     is run shot by shot with collapse.
     """
     if mode not in ("exact", "sampled"):
-        raise InvalidProgram(f"unknown measurement mode {mode!r}")
+        raise ValidationError(f"unknown measurement mode {mode!r}")
     if mode == "sampled" and not 1 <= n_avg <= MAX_SHOTS:
         raise ValidationError(f"n_avg must lie in 1..{MAX_SHOTS}, got {n_avg}")
     if mode == "sampled" and seed is not None and seed < 0:
@@ -378,8 +379,8 @@ def _apply_slot(state: StateVector | DensityMatrix, s: TimeSlot, registers: dict
 
 def _check_noise_covers(noise: NoiseParams, n_qubits: int) -> None:
     if len(noise.t1) < n_qubits:
-        raise InvalidNoise(f"noise parameters cover {len(noise.t1)} qubits, "
-                           f"program uses {n_qubits}")
+        raise ValidationError(f"noise parameters cover {len(noise.t1)} qubits, "
+                              f"program uses {n_qubits}")
 
 
 def _decay(rho: np.ndarray, qubit: int, n_qubits: int, p: float,
@@ -494,12 +495,12 @@ def evolution_operator(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-iHt) via eigendecomposition, with a unitarity self-check at 1e-12."""
     # both checks are written so that NaN fails them
     if not np.max(np.abs(H - H.conj().T)) <= 1e-12:
-        raise NotHermitian("Hamiltonian must be Hermitian")
+        raise QcoprocError("Hamiltonian must be Hermitian")
     evals, evecs = np.linalg.eigh(H)
     U = evecs @ np.diag(np.exp(-1j * evals * t)) @ evecs.conj().T
     defect = np.max(np.abs(U.conj().T @ U - np.eye(len(evals))))
     if not defect <= 1e-12:
-        raise NotHermitian(f"propagator unitarity defect {defect:.3e}")
+        raise QcoprocError(f"propagator unitarity defect {defect:.3e}")
     return U
 
 
@@ -526,9 +527,9 @@ def bloch_angles(state: StateVector | np.ndarray) -> BlochVector:
     """
     amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, complex)
     if amps.shape != (2,):
-        raise NotNormalized("expected a single-qubit state")
+        raise QcoprocError("expected a single-qubit state")
     if not abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= 1e-10:  # NaN fails
-        raise NotNormalized("state is not normalized")
+        raise QcoprocError("state is not normalized")
     a0 = min(1.0, abs(amps[0]))
     theta = 2.0 * math.acos(a0)
     if math.sin(theta / 2.0) < 1e-12:

@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, ValidationError
 from .isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy
 
 # Each non-rotation instruction's codeword, as an offset past the rotation space.
@@ -87,7 +87,7 @@ class RCT:
 
     def __post_init__(self):
         if self.capacity < 1:
-            raise ValueError("capacity must be positive")
+            raise ValidationError("capacity must be positive")
 
 
 @dataclass(frozen=True)

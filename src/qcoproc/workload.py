@@ -21,7 +21,7 @@ import numpy as np
 
 from . import simulator, wavemem
 from .compiler import CNOT, CRx, Rx, Rz, SourceProgram
-from .errors import CapacityExceeded, OutOfRange, StepOutOfRange, ValidationError
+from .errors import CapacityExceeded, QcoprocError, ValidationError
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
                   basis_bit, embed, program_segment_unitary, rxy_matrix, slot)
 from .simulator import NoiseParams, StateVector, hamiltonian_matrix
@@ -37,6 +37,14 @@ DEFAULT_TAU = 0.04 * math.pi
 # writes 28 MB (2 CPUs, Python 3.11, numpy 2.4).  The experiment and
 # paging-report totals still scale with n_realizations x len(w_values).
 MAX_STEPS = 10**5
+
+
+def _check_evolution(tau: float, n_steps: int) -> None:
+    """The tau and n_steps rules of a realization and of a config, in that order."""
+    if not (math.isfinite(tau) and tau > 0):  # written so that NaN fails
+        raise ValidationError(f"tau must be positive and finite, got {tau}")
+    if not 0 <= n_steps <= MAX_STEPS:
+        raise ValidationError(f"n_steps must lie in 0..{MAX_STEPS}, got {n_steps}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +64,7 @@ class DisorderRealization:
         # written so that NaN fails every check
         if not math.isfinite(self.w):
             raise ValidationError(f"w must be finite, got {self.w}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
-        if not 0 <= self.n_steps <= MAX_STEPS:
-            raise ValidationError(f"n_steps must lie in 0..{MAX_STEPS}, "
-                                  f"got {self.n_steps}")
+        _check_evolution(self.tau, self.n_steps)
         for name in ("h0x", "h0y", "h1x", "h1y"):
             h = getattr(self, name)
             if not -1.0 <= h <= 1.0:
@@ -82,7 +86,7 @@ def sample_disorder(w: float, tau: float, n_steps: int,
 
 def _check_step(r: DisorderRealization, k: int) -> None:
     if not 0 <= k <= r.n_steps:
-        raise StepOutOfRange(f"k = {k} outside 0..{r.n_steps}")
+        raise ValidationError(f"k = {k} outside 0..{r.n_steps}")
 
 
 def build_source_circuit(r: DisorderRealization, k: int) -> SourceProgram:
@@ -165,7 +169,7 @@ def trotter_interval_unitary(r: DisorderRealization) -> np.ndarray:
 def imbalance(p0: float | np.ndarray, p1: float | np.ndarray) -> float | np.ndarray:
     """I = P0 - P1, of two probabilities or elementwise of two arrays of them."""
     if not np.all((0.0 <= p0) & (p0 <= 1.0) & (0.0 <= p1) & (p1 <= 1.0)):  # NaN fails
-        raise OutOfRange(f"probabilities must lie in [0, 1], got ({p0}, {p1})")
+        raise QcoprocError(f"probabilities must lie in [0, 1], got ({p0}, {p1})")
     return p0 - p1
 
 
@@ -234,11 +238,7 @@ class ExperimentConfig:
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_realizations < 1:
             raise ValidationError("n_realizations must be >= 1")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
-        if not 0 <= self.n_steps <= MAX_STEPS:
-            raise ValidationError(f"n_steps must lie in 0..{MAX_STEPS}, "
-                                  f"got {self.n_steps}")
+        _check_evolution(self.tau, self.n_steps)
         if not 1 <= self.n_avg <= simulator.MAX_SHOTS:
             raise ValidationError(f"n_avg must lie in 1..{simulator.MAX_SHOTS}, "
                                   f"got {self.n_avg}")

@@ -529,6 +529,13 @@ INVALID_INPUTS = {
         t, "measure q0 -> m\nmeasure q1 -> m\n", "p.qasm")], 3),
     "run-ideal-reset-of-one": (lambda t: ["run", _text_file(
         t, "rxy q0, 0, 1\nreset q0\nmeasure q0 -> m\n", "p.qasm")], 3),
+    # programs a compiler pass cannot handle: any other error
+    "compile-general-rxy": (lambda t: ["compile", _text_file(
+        t, "rxy q0, 0.3, 0.5\nmeasure q0 -> m\n", "p.src")], 1),
+    "compile-schedule-before-lower": (lambda t: ["compile", _text_file(
+        t, "rx q0, 0.5\n", "p.src"), "--passes", "schedule"], 1),
+    "compile-reset-after-gate": (lambda t: ["compile", _text_file(
+        t, "rx q0, 0.5\nreset q0\nmeasure q0 -> m\n", "p.src")], 1),
 }
 
 

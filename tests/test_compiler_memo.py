@@ -19,7 +19,7 @@ from qcoproc import compiler, isa
 from qcoproc.compiler import (CNOT, PASSES, CRx, Rx, Ry, Rz, SourceProgram,
                               emit_source_program, frame_rotate_z_to_y, lower,
                               parse_source_program, run_passes, schedule)
-from qcoproc.errors import ParseError, UnsupportedGate, ValidationError
+from qcoproc.errors import ParseError, QcoprocError, ValidationError
 from qcoproc.isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy,
                          TimeSlot, emit_program, parse_program, slot)
 
@@ -48,16 +48,16 @@ def reference_frame_rotate(source: SourceProgram) -> SourceProgram:
         kinds = {type(i) for i in s.instructions}
         if kinds <= {Reset}:
             if phase != "resets":
-                raise UnsupportedGate("reset after the program prologue")
+                raise QcoprocError("reset after the program prologue")
             head.append(s)
         elif kinds <= {Measure}:
             phase = "measures"
             tail.append(s)
         elif Measure in kinds or Reset in kinds:
-            raise UnsupportedGate("slot mixes measurement/reset with gates")
+            raise QcoprocError("slot mixes measurement/reset with gates")
         else:
             if phase == "measures":
-                raise UnsupportedGate("gate after measurement")
+                raise QcoprocError("gate after measurement")
             phase = "body"
             body.append(s)
     rotated = []

@@ -287,7 +287,6 @@ class TestAssembly:
     def test_measure_register(self):
         p = parse_program("measure q1 -> q1mZ\n")
         assert p.slots[0].instructions[0] == Measure(1, "q1mZ")
-        assert p.registers == ("q1mZ",)
 
     def test_round_trip_fixed_program(self):
         text = ("reset q0\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoproc import simulator, workload
-from qcoproc.errors import InvalidNoise, InvalidProgram
+from qcoproc.errors import ValidationError
 from qcoproc.isa import basis_bit, ordered_product, slot_unitary
 from qcoproc.simulator import DensityMatrix, NoiseParams, run_ideal, run_noisy
 from qcoproc.workload import (ExperimentConfig, build_native_circuit, derive_seed,
@@ -79,7 +79,7 @@ def test_default_chip_noise_is_used_without_a_noise_block():
 
 
 def test_engine_rejects_noise_for_too_few_qubits():
-    with pytest.raises(InvalidNoise):
+    with pytest.raises(ValidationError, match="^noise parameters cover 1 qubits, program uses 2$"):
         simulator.sweep_probabilities((), (), (), 1, 2, NoiseParams(t1=(1e-5,), t2=(1e-5,)))
 
 
@@ -169,5 +169,5 @@ def test_checked_probabilities_of_a_stack_equal_row_by_row_calls():
 def test_checked_probabilities_raise_on_a_bad_row_and_name_its_sum(bad_sum):
     probs = np.full((3, 4), 0.25)
     probs[1, 0] = bad_sum - 0.75
-    with pytest.raises(InvalidProgram, match=f"state norm drifted to {bad_sum}$"):
+    with pytest.raises(ValidationError, match=f"state norm drifted to {bad_sum}$"):
         simulator._checked_probabilities(probs, "state norm")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoproc import workload
-from qcoproc.errors import CapacityExceeded
+from qcoproc.errors import CapacityExceeded, ValidationError
 from qcoproc.isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, slot
 from qcoproc.wavemem import (RCT, RESERVED_CODEWORDS, PageReport, assign_codewords,
                              dgs_scan, page_update, program_rotation_keys,
@@ -221,6 +221,12 @@ class TestPageUpdate:
         rct = RCT(capacity=16)
         _, report = page_update(program, rct, np.random.default_rng(0))
         assert len(report.loaded) == 10
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_non_positive_capacity_is_a_validation_error(self, capacity):
+        """A toolkit class, as every raise in the package is (tests/test_errors.py)."""
+        with pytest.raises(ValidationError, match="^capacity must be positive$"):
+            RCT(capacity=capacity)
 
     def test_second_realization_loads_only_new_disorder(self):
         rct = RCT(capacity=16)
