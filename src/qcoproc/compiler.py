@@ -164,11 +164,13 @@ def _map_slots(slots, gate_map) -> list[TimeSlot]:
 
     A slot is kept intact when every gate maps to one gate; otherwise it is
     serialized gate by gate (disjoint qubits commute, so the circuit unitary
-    is unchanged).  Each distinct slot object is mapped once and a repeated
-    one reuses its output slots.  The memo is keyed by identity, not
-    equality, because equal slots can still print differently (angles 0.0
-    and -0.0 compare equal); :func:`~qcoproc.isa.parse_slots` returns one
-    object per distinct line, so a parsed program repeats its objects.
+    is unchanged).  Each distinct slot object (see
+    :func:`~qcoproc.isa.distinct_slots`) is mapped once and a repeated one
+    reuses its output slots.  Programs repeat their slot objects wherever
+    they come from: :func:`~qcoproc.isa.parse_slots` returns one object per
+    distinct line, the circuit builders of :mod:`qcoproc.workload` repeat
+    one interval's slots, and this function and :func:`schedule` reuse
+    their output for a repeated input.
     """
     mapped: dict[int, list[TimeSlot]] = {}
     out: list[TimeSlot] = []
@@ -267,7 +269,10 @@ def schedule(program: QuantumProgram) -> QuantumProgram:
 
     Instructions on the same qubit are never reordered, and nothing moves
     across a two-qubit gate, measure, or reset touching its qubit (merging is
-    restricted to slots made purely of Rxy instructions).
+    restricted to slots made purely of Rxy instructions).  A repeated run of
+    the same instruction objects reuses the slot its first occurrence made,
+    keyed by identity for the reason :func:`~qcoproc.isa.distinct_slots`
+    gives; the input program keeps the instructions, and so their ids, alive.
     """
     out: list[list] = []
     open_qubits: set[int] | None = None  # qubits of out[-1] while it is all Rxy
@@ -282,8 +287,15 @@ def schedule(program: QuantumProgram) -> QuantumProgram:
             else:
                 out.append([instr])
                 open_qubits = {instr.qubit}
-    return QuantumProgram(n_qubits=program.n_qubits,
-                          slots=tuple(TimeSlot(tuple(group)) for group in out))
+    made: dict[tuple, TimeSlot] = {}
+    slots = []
+    for group in out:
+        key = tuple(map(id, group))
+        s = made.get(key)
+        if s is None:
+            s = made[key] = TimeSlot(tuple(group))
+        slots.append(s)
+    return QuantumProgram(n_qubits=program.n_qubits, slots=tuple(slots))
 
 
 # --- equivalence ------------------------------------------------------------------

@@ -172,11 +172,23 @@ class QuantumProgram:
             yield from s.instructions
 
 
+def distinct_slots(slots):
+    """Each distinct slot object of ``slots`` once, in order of first occurrence.
+
+    Distinct by identity, not equality: equal slots can still print
+    differently (angles 0.0 and -0.0 compare equal).  The ids stay valid
+    because ``slots`` holds every object for as long as the result is used.
+    """
+    return {id(s): s for s in slots}.values()
+
+
 def check_program(program, kinds: tuple, foreign: str) -> None:
     """The validity rule of both program types: every instruction is one of
     ``kinds`` and acts on qubits 0..n_qubits - 1; a foreign kind's message
-    starts with ``foreign``."""
-    for s in program.slots:
+    starts with ``foreign``.  Each distinct slot object is checked once, in
+    order of first occurrence, so the first offending instruction is the one
+    a slot-by-slot check would name."""
+    for s in distinct_slots(program.slots):
         for instr in s.instructions:
             if not isinstance(instr, kinds):
                 raise ValidationError(f"{foreign} {instr!r}")
@@ -296,12 +308,15 @@ def _parse_qubit(tok: str, line: int) -> int:
 
 
 def _parse_angle(tok: str, line: int) -> float:
+    """An angle in units of pi whose value in radians is finite: 1e308 parses
+    as a float but overflows to inf once multiplied by pi."""
     try:
         angle = float(tok.strip())
     except ValueError:
         angle = math.nan  # reported below, as inf and nan are
-    if not math.isfinite(angle):
-        raise ParseError(f"expected finite angle in units of pi, got {tok.strip()!r}", line)
+    if not math.isfinite(angle * math.pi):
+        raise ParseError("expected an angle in units of pi that is finite in radians, "
+                         f"got {tok.strip()!r}", line)
     return angle
 
 
@@ -402,12 +417,16 @@ def emit_statement(instr) -> str:
     raise ValidationError(f"cannot emit {instr!r}")
 
 
+def _emit_line(s: TimeSlot, statement_emitter) -> str:
+    if len(s.instructions) == 1:
+        return statement_emitter(s.instructions[0])
+    return "{ " + " | ".join(statement_emitter(i) for i in s.instructions) + " }"
+
+
 def emit_program(program: QuantumProgram, statement_emitter=emit_statement) -> str:
-    """Render a program as assembly text; inverse of :func:`parse_program`."""
-    lines = []
-    for s in program.slots:
-        if len(s.instructions) == 1:
-            lines.append(statement_emitter(s.instructions[0]))
-        else:
-            lines.append("{ " + " | ".join(statement_emitter(i) for i in s.instructions) + " }")
-    return "\n".join(lines) + "\n"
+    """Render a program as assembly text; inverse of :func:`parse_program`.
+
+    Each distinct slot object (see :func:`distinct_slots`) is formatted once
+    and a repeated one reuses its line."""
+    lines = {id(s): _emit_line(s, statement_emitter) for s in distinct_slots(program.slots)}
+    return "\n".join([lines[id(s)] for s in program.slots]) + "\n"

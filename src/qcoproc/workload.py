@@ -89,6 +89,15 @@ def _check_step(r: DisorderRealization, k: int) -> None:
         raise ValidationError(f"k = {k} outside 0..{r.n_steps}")
 
 
+# The fixed slots of every circuit: the resets and the parallel measurement
+# (source and native), and the native prologue that rotates the prepared state
+# into the working frame and the epilogue that rotates back.
+_RESETS = (slot(Reset(0)), slot(Reset(1)))
+_PROLOGUE = slot(Rxy(0, RotationKey.make(0.0, HALF_PI)), Rxy(1, RotationKey.make(0.0, -HALF_PI)))
+_EPILOGUE = slot(Rxy(0, RotationKey.make(0.0, HALF_PI)), Rxy(1, RotationKey.make(0.0, HALF_PI)))
+_MEASURE = slot(Measure(0, "q0mZ"), Measure(1, "q1mZ"))
+
+
 def build_source_circuit(r: DisorderRealization, k: int) -> SourceProgram:
     """Source-level circuit for step k: prepare q0=|1>, k evolution intervals,
     measure both.
@@ -101,25 +110,16 @@ def build_source_circuit(r: DisorderRealization, k: int) -> SourceProgram:
     """
     _check_step(r, k)
     w, tau = r.w, r.tau
-    slots = [slot(Reset(0)), slot(Reset(1)), slot(Rx(0, math.pi))]
-    for _ in range(k):
-        slots.append(slot(CNOT(1, 0)))
-        slots.append(slot(Rz(0, 2 * w * r.h0y * tau), Rz(1, 2 * tau)))
-        slots.append(slot(CRx(4 * tau, 0, 1)))
-        slots.append(slot(CNOT(1, 0)))
-        slots.append(slot(Rz(1, 2 * w * r.h1y * tau)))
-        slots.append(slot(Rx(0, 2 * w * r.h0x * tau), Rx(1, 2 * w * r.h1x * tau)))
-    slots.append(slot(Measure(0, "q0mZ"), Measure(1, "q1mZ")))
-    return SourceProgram(n_qubits=2, slots=tuple(slots))
-
-
-# The fixed slots of every native circuit: resets, the prologue that rotates
-# the prepared state into the working frame, the epilogue that rotates back,
-# and the parallel measurement.
-_RESETS = (slot(Reset(0)), slot(Reset(1)))
-_PROLOGUE = slot(Rxy(0, RotationKey.make(0.0, HALF_PI)), Rxy(1, RotationKey.make(0.0, -HALF_PI)))
-_EPILOGUE = slot(Rxy(0, RotationKey.make(0.0, HALF_PI)), Rxy(1, RotationKey.make(0.0, HALF_PI)))
-_MEASURE = slot(Measure(0, "q0mZ"), Measure(1, "q1mZ"))
+    interval = (
+        slot(CNOT(1, 0)),
+        slot(Rz(0, 2 * w * r.h0y * tau), Rz(1, 2 * tau)),
+        slot(CRx(4 * tau, 0, 1)),
+        slot(CNOT(1, 0)),
+        slot(Rz(1, 2 * w * r.h1y * tau)),
+        slot(Rx(0, 2 * w * r.h0x * tau), Rx(1, 2 * w * r.h1x * tau)),
+    ) if k else ()
+    slots = _RESETS + (slot(Rx(0, math.pi)),) + interval * k + (_MEASURE,)
+    return SourceProgram(n_qubits=2, slots=slots)
 
 
 def _interval_slots(r: DisorderRealization) -> tuple[TimeSlot, ...]:

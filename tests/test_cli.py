@@ -454,6 +454,13 @@ INVALID_INPUTS = {
     "run-angle-inf": (lambda t: ["run", _text_file(
         t, "rxy q0, 0, inf\nmeasure q0 -> a\n", "p.qasm")], 2),
     "compile-angle-nan": (lambda t: ["compile", _text_file(t, "rx q0, nan\n", "p.src")], 2),
+    # angles finite in units of pi whose radians overflow to inf
+    "compile-angle-overflow-frame-rotate": (lambda t: ["compile", _text_file(
+        t, "rx q0, 1e308\n", "p.src"), "--passes", "frame-rotate"], 2),
+    "compile-crx-angle-overflow-frame-rotate": (lambda t: ["compile", _text_file(
+        t, "crx q0, q1, -1e308\n", "p.src"), "--passes", "frame-rotate"], 2),
+    "run-angle-overflow": (lambda t: ["run", _text_file(
+        t, "rxy q0, 1e308, 0.5\nmeasure q0 -> a\n", "p.qasm")], 2),
     "gen-w-nan": (lambda t: ["gen", "--w", "nan", "--k", "1", "--seed", "3"], 3),
     # at k = 0 no interval is built, so the realization itself must reject NaN
     "gen-k0-tau-nan": (lambda t: ["gen", "--w", "25", "--k", "0", "--tau-over-pi", "nan",
@@ -546,7 +553,8 @@ def test_invalid_input_exit_code_and_one_line_error(tmp_path, capsys, name):
     if argv[0] in ("experiment", "paging-report"):
         argv += ["--out", str(tmp_path / "out")]
     assert run_cli(*argv) == expected
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 

@@ -1,27 +1,35 @@
-"""The parser and the compiler passes do each distinct line and slot once.
+"""The compile round trip builds, parses, checks, maps, schedules and emits
+each distinct line and slot once.
 
-``parse_slots`` reuses the slot a repeated line parsed to, ``lower`` and
-``frame_rotate_z_to_y`` reuse the output of a repeated slot object, and
-``schedule`` tracks the qubits of its open group.  The references below are
-the plain passes, one gate and one slot at a time with nothing reused; the
-memoized passes must equal them and print the same bytes.  Programs are drawn
-from small pools of slot objects and lines, so slots and lines repeat, and the
-pools hold equal slots that print differently (angles 0.0 and -0.0).
+``build_source_circuit`` repeats one interval's slot objects, ``parse_slots``
+reuses the slot a repeated line parsed to, ``check_program`` checks each
+distinct slot object once, ``lower`` and ``frame_rotate_z_to_y`` reuse the
+output of a repeated slot object, ``schedule`` reuses the slot of a repeated
+run of instruction objects, and ``emit_program`` formats each distinct slot
+object once.  The references below do the same work one gate and one slot at
+a time with nothing reused; the memoized code must equal them, print the same
+bytes and raise the same errors.  Programs are drawn from small pools of slot
+objects and lines, so slots and lines repeat, and the pools hold equal slots
+that print differently (angles 0.0 and -0.0), which a memo keyed by equality
+would print alike.
 """
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoproc import compiler, isa
+from qcoproc import compiler, isa, workload
 from qcoproc.compiler import (CNOT, PASSES, CRx, Rx, Ry, Rz, SourceProgram,
-                              emit_source_program, frame_rotate_z_to_y, lower,
-                              parse_source_program, run_passes, schedule)
+                              emit_source_program, emit_source_statement,
+                              frame_rotate_z_to_y, lower, parse_source_program,
+                              run_passes, schedule)
 from qcoproc.errors import ParseError, QcoprocError, ValidationError
 from qcoproc.isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy,
-                         TimeSlot, emit_program, parse_program, slot)
+                         TimeSlot, emit_program, emit_statement, parse_program, slot)
 
 PI = math.pi
 
@@ -93,6 +101,43 @@ def reference_passes(program) -> QuantumProgram:
     return reference_schedule(reference_lower(reference_frame_rotate(program)))
 
 
+def reference_emit(program, statement_emitter) -> str:
+    lines = []
+    for s in program.slots:
+        if len(s.instructions) == 1:
+            lines.append(statement_emitter(s.instructions[0]))
+        else:
+            lines.append("{ " + " | ".join(statement_emitter(i) for i in s.instructions) + " }")
+    return "\n".join(lines) + "\n"
+
+
+def reference_check(slots, n_qubits: int, kinds: tuple, foreign: str) -> str | None:
+    """The message of the first invalid instruction, or None."""
+    for s in slots:
+        for instr in s.instructions:
+            if not isinstance(instr, kinds):
+                return f"{foreign} {instr!r}"
+            for q in instr.qubits:
+                if not 0 <= q < n_qubits:
+                    return f"qubit q{q} out of range for {n_qubits}-qubit program"
+    return None
+
+
+def reference_build_source_circuit(r, k: int) -> SourceProgram:
+    """The source circuit with a fresh object for every slot and gate."""
+    w, tau = r.w, r.tau
+    slots = [slot(Reset(0)), slot(Reset(1)), slot(Rx(0, PI))]
+    for _ in range(k):
+        slots.append(slot(CNOT(1, 0)))
+        slots.append(slot(Rz(0, 2 * w * r.h0y * tau), Rz(1, 2 * tau)))
+        slots.append(slot(CRx(4 * tau, 0, 1)))
+        slots.append(slot(CNOT(1, 0)))
+        slots.append(slot(Rz(1, 2 * w * r.h1y * tau)))
+        slots.append(slot(Rx(0, 2 * w * r.h0x * tau), Rx(1, 2 * w * r.h1x * tau)))
+    slots.append(slot(Measure(0, "q0mZ"), Measure(1, "q1mZ")))
+    return SourceProgram(n_qubits=2, slots=tuple(slots))
+
+
 # --- pools --------------------------------------------------------------------------
 
 ANGLES = (0.0, -0.0, 0.25 * PI, -0.5 * PI, PI)
@@ -138,12 +183,12 @@ def native_programs(draw) -> QuantumProgram:
 
 def assert_same_source(got, want):
     assert got == want
-    assert emit_source_program(got) == emit_source_program(want)
+    assert emit_source_program(got) == reference_emit(want, emit_source_statement)
 
 
 def assert_same_native(got, want):
     assert got == want
-    assert emit_program(got) == emit_program(want)
+    assert emit_program(got) == reference_emit(want, emit_statement)
 
 
 # --- the passes equal their references ---------------------------------------------
@@ -214,3 +259,74 @@ def test_repeated_slot_beyond_q7_raises_on_its_first_occurrence(parse):
     text = "\n".join(["reset q0", "reset q1", wide, "reset q0", wide]) + "\n"
     with pytest.raises(ValidationError, match="^line 3: "):
         parse(text)
+
+
+# --- emit, check and build --------------------------------------------------------
+
+
+@given(source_programs())
+@settings(max_examples=150, deadline=None)
+def test_emit_source_program_equals_the_reference(source):
+    assert emit_source_program(source) == reference_emit(source, emit_source_statement)
+
+
+@given(native_programs())
+@settings(max_examples=150, deadline=None)
+def test_emit_program_equals_the_reference(program):
+    assert emit_program(program) == reference_emit(program, emit_statement)
+
+
+def test_equal_slots_that_print_differently_each_keep_their_line():
+    zero, minus_zero = slot(Rx(0, 0.0)), slot(Rx(0, -0.0))
+    program = SourceProgram(1, (zero, minus_zero, zero, minus_zero))
+    assert emit_source_program(program) == "rx q0, 0.0\nrx q0, -0.0\n" * 2
+
+
+CHECK_SLOTS = NATIVE_SLOTS + [slot(Rx(0, 0.5)), slot(Rx(1, 0.25), Rxy(0, KEYS[1])),
+                              slot(isa.OneQubit(1)), slot(Rxy(2, KEYS[0])),
+                              slot(CZ(0, 3)), slot(Reset(1), Measure(2, "m"))]
+
+
+@given(st.lists(st.sampled_from(CHECK_SLOTS), min_size=1, max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_check_program_raises_what_a_slot_by_slot_check_raises(slots):
+    for program_type, kinds, foreign in (
+            (QuantumProgram, isa.NATIVE_KINDS, "non-native instruction"),
+            (SourceProgram, compiler.SOURCE_KINDS, "unknown source gate")):
+        message = reference_check(slots, 2, kinds, foreign)
+        if message is None:
+            program_type(2, tuple(slots))
+        else:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                program_type(2, tuple(slots))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (slot(Rx(0, 1.0)), "non-native instruction Rx(qubit=0, angle=1.0)"),
+    (slot(CZ(0, 2)), "qubit q2 out of range for 2-qubit program"),
+])
+def test_repeated_invalid_slot_still_raises(bad, message):
+    good = slot(CZ(0, 1))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        QuantumProgram(2, (good, bad, good, bad))
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 25.0])  # w = 0 makes -0.0 angles
+def test_source_circuit_equals_the_fresh_object_reference(w):
+    r = workload.sample_disorder(w, workload.DEFAULT_TAU, 10, np.random.default_rng(7))
+    for k in (0, 1, r.n_steps):
+        got, want = workload.build_source_circuit(r, k), reference_build_source_circuit(r, k)
+        assert_same_source(got, want)
+        assert_same_native(run_passes(got, PASSES), reference_passes(want))
+
+
+def test_the_round_trip_repeats_its_slot_objects():
+    """At k = 10 the built source has 64 slots and the compiled program 147.
+    Recorded on all 120 default realizations, they hold 10 and 20 distinct slot
+    objects; a stage that rebuilt every slot would hold one per slot."""
+    r = workload.sample_disorder(25.0, workload.DEFAULT_TAU, 10, np.random.default_rng(3))
+    source = workload.build_source_circuit(r, 10)
+    compiled = run_passes(parse_source_program(emit_source_program(source)), PASSES)
+    assert (len(source.slots), len(compiled.slots)) == (64, 147)
+    assert len(set(map(id, source.slots))) <= 10
+    assert len(set(map(id, compiled.slots))) <= 20
