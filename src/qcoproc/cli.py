@@ -248,30 +248,40 @@ def paging_report_text(config: workload.ExperimentConfig) -> str:
     ``PageReport.to_json_dict()``) and the total loads and hits.  ``json``
     with ``indent`` runs its pure-Python encoder; the default trace holds
     some 138 k rotation objects but only a few hundred distinct ones, so
-    here each rotation is formatted once.  Config validation keeps every
-    float finite, which ``float.__repr__`` then prints as ``json`` does.
+    here each rotation is formatted once.  The stream yields a repeated
+    pass's report object again (k = 3..10 repeat k = 2 on the default
+    config), so each distinct report is formatted once too, as its text
+    before ``"k": `` and after it, and every pass adds only its k.  Config
+    validation keeps every float finite, which ``float.__repr__`` then
+    prints as ``json`` does.
     """
     keys = _RotationFragments().json_list
-    runs = []
+    parts = [f'{{\n  "capacity": {config.capacity},\n  "runs": [\n']
     total_loads = total_hits = 0
+    last = None  # the report that head and tail were formatted from
     for w, i, _, k, report in workload.paged_programs(config):
         total_loads += len(report.loaded)
         total_hits += report.hits
-        loaded = keys(report.loaded)
-        runs.append(f'    {{\n'
+        if report is not last:  # by identity: repeats come from one realization
+            last = report
+            loaded = keys(report.loaded)
+            head = (f'    {{\n'
                     f'      "dlst": {keys(sorted(report.dlst))},\n'
                     f'      "evicted": {keys(report.evicted)},\n'
                     f'      "hits": {report.hits},\n'
-                    f'      "k": {k},\n'
+                    f'      "k": ')
+            tail = (f',\n'
                     f'      "load_counter": {report.load_counter},\n'
                     f'      "loaded": {loaded},\n'
                     f'      "mlst": {loaded},\n'
                     f'      "realization": {i},\n'
                     f'      "w": {float.__repr__(float(w))}\n'
-                    f'    }}')
-    return (f'{{\n  "capacity": {config.capacity},\n'
-            f'  "runs": [\n' + ",\n".join(runs) + '\n  ],\n'
-            f'  "total_hits": {total_hits},\n  "total_loads": {total_loads}\n}}\n')
+                    f'    }},\n')
+        parts += (head, str(k), tail)
+    parts[-1] = tail[:-2]  # the last run takes no comma
+    parts.append(f'\n  ],\n  "total_hits": {total_hits},\n'
+                 f'  "total_loads": {total_loads}\n}}\n')
+    return "".join(parts)
 
 
 def cmd_paging_report(args) -> int:

@@ -122,9 +122,11 @@ def page_update(program: QuantumProgram, rct: RCT,
     """Make every rotation of ``program`` resident, evicting randomly from the DLST.
 
     Free codewords are filled before anything is evicted; rotations that stay
-    resident keep their codewords.  Raises CapacityExceeded when the program
-    needs more distinct rotations than the table holds (the caller would have
-    to split the program, which is out of scope).
+    resident keep their codewords.  A pass that loads nothing changes nothing:
+    it leaves the table, its load counter and ``rng`` as they were, so paging
+    the same program again reports the same.  Raises CapacityExceeded when
+    the program needs more distinct rotations than the table holds (the
+    caller would have to split the program, which is out of scope).
     """
     needed = program_rotation_keys(program)
     if len(needed) > rct.capacity:

@@ -31,11 +31,12 @@ DEFAULT_TAU = 0.04 * math.pi
 
 # Each step adds a row to every output and a pass to the paging stream.  At the
 # cap, with one w and one realization (`{"w_values": [1.0], "n_realizations":
-# 1, "n_steps": 100000}`), `experiment --dump-realizations` takes 1.4-1.5 s and
-# 68 MB peak RSS and writes 6.2 MB, `paging-report` takes 1.1 s and 95 MB and
-# writes 19 MB, and `gen --n-steps 100000 --k 100000` takes 1.9 s and 192 MB and
-# writes 28 MB (2 CPUs, Python 3.11, numpy 2.4).  The experiment and
-# paging-report totals still scale with n_realizations x len(w_values).
+# 1, "n_steps": 100000}`), `experiment --dump-realizations` takes 1.0-1.1 s and
+# 68 MB peak RSS and writes 6.2 MB, `paging-report` takes 0.3-0.4 s and 74 MB
+# and writes 19 MB, and `gen --n-steps 100000 --k 100000` takes 0.7-0.8 s and
+# 106 MB and writes 28 MB (whole processes, 2 CPUs, Python 3.11, numpy 2.4).
+# The experiment and paging-report totals still scale with n_realizations x
+# len(w_values).
 MAX_STEPS = 10**5
 
 
@@ -346,7 +347,11 @@ def paged_programs(config: ExperimentConfig):
     Samples each realization, scans its last built program once (its rotation
     set contains the k = 0 program's), then pages its Trotter-step programs in
     canonical order (w index, realization index, k), and yields
-    ``(w, i, r, k, report)``.
+    ``(w, i, r, k, report)``.  Every k >= 1 program has the same rotation set,
+    and a pass that loads nothing leaves the table and the eviction RNG as
+    they were, so a repeat of such a pass (k >= 2) yields the previous
+    ``PageReport`` object again without paging: at most three passes per
+    realization are paged.
     Deterministic for a given master seed.
     """
     rct = wavemem.RCT(capacity=config.capacity)
@@ -361,21 +366,22 @@ def paged_programs(config: ExperimentConfig):
             programs = [build_native_circuit(r, k) for k in range(min(r.n_steps, 1) + 1)]
             wavemem.dgs_scan(programs[-1], qos)
             for k in range(r.n_steps + 1):
-                # paging reads only the program's rotation set, the same for every k >= 1
-                program = programs[min(k, 1)]
-                try:
-                    _, report = wavemem.page_update(program, rct, evict_rng)
-                except CapacityExceeded as exc:
-                    raise CapacityExceeded(
-                        f"w={w:g} realization {i} (seed {r.seed}) k={k}: {exc}") from exc
+                # paging reads only the program's rotation set, the same for every
+                # k >= 1, so a repeat of a pass that loaded nothing loads nothing
+                if k < 2 or report.loaded:
+                    try:
+                        _, report = wavemem.page_update(programs[min(k, 1)], rct, evict_rng)
+                    except CapacityExceeded as exc:
+                        raise CapacityExceeded(
+                            f"w={w:g} realization {i} (seed {r.seed}) k={k}: {exc}") from exc
                 yield w, i, r, k, report
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full disorder sweep.
 
-    Every program of :func:`paged_programs` is paged; each realization's
-    imbalance curve over all its programs comes from one
+    The paging totals sum the reports of every pass of :func:`paged_programs`;
+    each realization's imbalance curve over all its programs comes from one
     :func:`simulator.sweep_probabilities` call.  Deterministic for a given
     master seed.
     """

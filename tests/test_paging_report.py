@@ -34,7 +34,7 @@ def _configs(draw):
     return ExperimentConfig(
         w_values=tuple([negative] + [w for w in others if w != negative]),
         n_realizations=draw(st.integers(1, 4)),
-        n_steps=draw(st.integers(0, 3)),
+        n_steps=draw(st.integers(0, 6)),  # k >= 3 reuses k = 2's report
         master_seed=draw(st.integers(0, 2**32)),
         capacity=draw(st.integers(10, 16)),  # small enough to evict
         share_realizations_across_w=draw(st.booleans()))
@@ -52,6 +52,22 @@ def test_formatter_matches_json_dumps_with_evictions():
     text = cli.paging_report_text(config)
     assert text == _json_dumps_report(config)
     assert any(run["evicted"] for run in json.loads(text)["runs"])
+
+
+def test_runs_after_an_evicting_k1():
+    """An eviction at k = 1 changes k = 2's DLST, and every later k prints
+    k = 2's run with only its "k" changed."""
+    config = ExperimentConfig(w_values=(25.0,), n_realizations=4, n_steps=6, capacity=10)
+    text = cli.paging_report_text(config)
+    assert text == _json_dumps_report(config)
+    runs = json.loads(text)["runs"]
+    by_realization = [runs[i * 7:(i + 1) * 7] for i in range(4)]
+    evicting = [r for r in by_realization if r[1]["evicted"]]
+    assert len(evicting) == 3  # each realization after the first
+    for realization in evicting:
+        assert realization[2]["dlst"] != realization[1]["dlst"]
+        for run in realization[3:]:
+            assert {**run, "k": 2} == realization[2]
 
 
 def test_default_config_digest(tmp_path):

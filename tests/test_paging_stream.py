@@ -1,5 +1,8 @@
 """The sweep's paging stream against a replay that pages every program it names."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from qcoproc.wavemem import program_rotation_keys
 from qcoproc.workload import (DEFAULT_TAU, ExperimentConfig, build_native_circuit,
                               derive_seed, paged_programs, sample_disorder)
 
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "experiment_default.json"
+
 
 @st.composite
 def _configs(draw):
@@ -18,7 +23,7 @@ def _configs(draw):
         w_values=tuple(draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=2,
                                      unique=True))),
         n_realizations=draw(st.integers(1, 3)),
-        n_steps=draw(st.integers(0, 4)),
+        n_steps=draw(st.integers(0, 8)),  # k >= 3 repeats k = 2
         master_seed=draw(st.integers(0, 2**32)),
         capacity=draw(st.integers(12, 40)),  # small enough to evict
         share_realizations_across_w=draw(st.booleans()))
@@ -94,3 +99,30 @@ def test_stream_scans_each_realization_once(monkeypatch, n_steps):
     list(_per_program_replay(config))
     assert n_scans == 2 * 3
     assert stream_registry.keys() == registries[-1].keys()
+
+
+def _count_page_updates(monkeypatch, config: ExperimentConfig) -> int:
+    calls = []
+    page_update = wavemem.page_update
+
+    def counting_page_update(program, rct, rng):
+        calls.append(program)
+        return page_update(program, rct, rng)
+
+    monkeypatch.setattr(wavemem, "page_update", counting_page_update)
+    list(paged_programs(config))
+    return len(calls)
+
+
+def test_default_stream_pages_each_realization_three_times(monkeypatch):
+    """k = 0, k = 1 and k = 2 (whose DLST an eviction at k = 1 changes); the
+    passes k = 3..10 repeat k = 2, which loaded nothing."""
+    config = ExperimentConfig.from_json_dict(json.loads(DEFAULT_CONFIG.read_text()))
+    assert _count_page_updates(monkeypatch, config) == 360  # of 1 320 passes
+
+
+@pytest.mark.parametrize("n_steps, per_realization", [(0, 1), (1, 2), (2, 3), (8, 3)])
+def test_stream_pages_at_most_three_passes(monkeypatch, n_steps, per_realization):
+    config = ExperimentConfig(w_values=(1.0, 25.0), n_realizations=3, n_steps=n_steps,
+                              capacity=16)
+    assert _count_page_updates(monkeypatch, config) == 2 * 3 * per_realization

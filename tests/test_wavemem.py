@@ -203,6 +203,34 @@ class TestPageUpdate:
         assert rct.load_counter == loads_before
         assert report.hits == len(program_rotation_keys(program))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_repeated_pass_changes_nothing(self, data):
+        """Paging a program again, after a pass into a full table made it
+        resident, loads, evicts and draws nothing and leaves the table as it
+        was; a third pass reports what the second did.  The sweep's stream
+        reuses a repeated pass's report on this rule."""
+        capacity = data.draw(st.integers(1, 12), label="capacity")
+        pool = data.draw(st.permutations(KEY_POOL), label="pool")
+        rct = RCT(capacity=capacity, codewords=dict(zip(pool[:capacity], range(capacity))))
+        n_new = data.draw(st.integers(1, capacity), label="n_new")
+        kept = data.draw(st.lists(st.sampled_from(pool[:capacity]), unique=True,
+                                  max_size=capacity - n_new), label="kept")
+        needed = data.draw(st.permutations(pool[capacity:capacity + n_new] + kept),
+                           label="needed")
+        program = QuantumProgram(1, tuple(slot(Rxy(0, k_)) for k_ in needed))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        _, first = page_update(program, rct, rng)
+        assert first.evicted  # the table was full
+        before = (dict(rct.codewords), rct.load_counter, rng.bit_generator.state)
+        _, second = page_update(program, rct, rng)
+        assert (rct.codewords, rct.load_counter, rng.bit_generator.state) == before
+        assert second.loaded == second.evicted == ()
+        assert second.hits == len(program_rotation_keys(program))
+        _, third = page_update(program, rct, rng)
+        assert third == second
+
     def test_load_counter_tracks_mlst(self):
         rct = RCT(capacity=16)
         total = 0
