@@ -16,13 +16,16 @@ Measurement records either exact probabilities (no collapse, the default for
 the deterministic experiment pipeline) or per-shot sampled bits with collapse.
 Sampling is vectorized over shots when every measurement is terminal.
 
-``sweep_probabilities`` is the engine behind the disorder sweep: it builds the
-map of a head, a repeated interval and a tail of unitary slots once, and steps
-it k = 0..N times.  It stacks the state at measurement of every k and reads
-all their probabilities at once, with one checked call over the stack.  The
-ideal engine multiplies slot unitaries; the noisy one multiplies
-superoperators on a row-major vec(rho), each a slot's decay map (``_decay``
-applied to every basis matrix) times kron(U, conj(U)).
+``sweep_probabilities`` is the engine behind the disorder sweep.  It takes a
+head, a tail and a sequence of repeated intervals of unitary slots, builds the
+map of the head, of the tail and of each interval once, and steps the states
+of all intervals together, k = 0..N, with one stacked product per k.  numpy
+multiplies each matrix of a stack on its own, so a row of the result equals a
+call on its interval alone, bit for bit.  Of each state at measurement it
+keeps the amplitudes, or the diagonal of rho, and reads the probabilities of
+all of them in one checked call.  The ideal engine multiplies slot unitaries;
+the noisy one multiplies superoperators on a row-major vec(rho), each a slot's
+decay map (``_decay`` applied to every basis matrix) times kron(U, conj(U)).
 ``run_ideal`` and ``run_noisy`` stay the per-program oracle.
 """
 
@@ -426,30 +429,37 @@ def _decay_map(noise: NoiseParams, duration: float, n_qubits: int) -> np.ndarray
     return _slot_decay(basis, n_qubits, noise, duration).reshape(size, size).T
 
 
-def sweep_probabilities(head, interval, tail, n_steps: int, n_qubits: int,
+def sweep_probabilities(head, intervals, tail, n_steps: int, n_qubits: int,
                         noise: NoiseParams | None = None) -> np.ndarray:
     """Basis probabilities at measurement of head + k * interval + tail,
-    started from |0...0>, for k = 0..n_steps; one row per k.
+    started from |0...0>, for every interval of ``intervals`` and
+    k = 0..n_steps: an array of shape (len(intervals), n_steps + 1, 2**n).
 
     The slots must be unitary (a reset of the |0...0> start is the identity and
-    is left to the caller).  Without ``noise`` the state is a vector stepped by
-    the interval's unitary; with it, a row-major vec(rho) stepped by the
+    is left to the caller).  Without ``noise`` each state is a vector stepped
+    by its interval's unitary; with it, a row-major vec(rho) stepped by its
     interval's superoperator, each slot's map being its T1/T2 decay times
-    kron(U, conj(U)), as ``run_noisy`` applies them.  Each slot map is built
-    once per call, and the rows of every k are read in one checked call.
+    kron(U, conj(U)), as ``run_noisy`` applies them.  The head, the tail and
+    the decay maps are built once per call, each interval's product once.
+    All states step together, one stacked product per k for the tail and one
+    for the intervals; numpy multiplies each matrix of a stack on its own, so
+    row i equals a call on ``intervals[i]`` alone, bit for bit.  Of each
+    state at measurement only the amplitudes, or the diagonal of rho, are
+    kept, never a whole vec(rho); their probabilities are read in one checked
+    call.
     """
     dim = 1 << n_qubits
     if noise is None:
-        size = dim
+        size, what, kept = dim, "state norm", slice(None)
 
         def slot_map(s):
             return slot_unitary(s, n_qubits)
 
-        def read(states):
-            return _checked_probabilities(np.abs(states) ** 2, "state norm")
+        def read(amplitudes):
+            return np.abs(amplitudes) ** 2
     else:
         _check_noise_covers(noise, n_qubits)
-        size = dim * dim
+        size, what, kept = dim * dim, "density matrix trace", slice(None, None, dim + 1)
         decay: dict = {}
 
         def slot_map(s):
@@ -459,22 +469,25 @@ def sweep_probabilities(head, interval, tail, n_steps: int, n_qubits: int,
             U = slot_unitary(s, n_qubits)
             return decay[duration] @ kron(U, U.conj())
 
-        def read(vecs):  # the diagonal of each rho
-            return _checked_probabilities(vecs[:, ::dim + 1].real, "density matrix trace")
+        def read(diagonals):
+            return diagonals.real
 
     def product(slots):
         return ordered_product(map(slot_map, slots), size)
 
-    state = np.zeros(size, dtype=complex)
-    state[0] = 1.0
+    steps = np.empty((len(intervals), size, size), dtype=complex)
+    for i, interval in enumerate(intervals):
+        steps[i] = product(interval)
+    state = np.zeros((len(intervals), size, 1), dtype=complex)  # a column per interval
+    state[:, 0] = 1.0
     state = product(head) @ state
-    step, back = product(interval), product(tail)
-    states = np.empty((n_steps + 1, size), dtype=complex)
+    back = product(tail)
+    # the amplitudes of each state vector, or the diagonal of each rho
+    measured = np.empty((len(intervals), n_steps + 1, dim), dtype=complex)
     for k in range(n_steps + 1):
-        # one product per k: a product with the whole stack rounds differently
-        states[k] = back @ state
-        state = step @ state
-    return read(states)
+        measured[:, k] = (back @ state)[:, kept, 0]
+        state = steps @ state
+    return _checked_probabilities(read(measured), what)
 
 
 # --- spin-chain Hamiltonian and exact evolution -------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,12 +124,13 @@ def build_source_circuit(r: DisorderRealization, k: int) -> SourceProgram:
     return SourceProgram(n_qubits=2, slots=slots)
 
 
-def _interval_slots(r: DisorderRealization) -> tuple[TimeSlot, ...]:
-    """One native evolution interval: 10 single-qubit rotations and 4 cZ."""
-    w, tau = r.w, r.tau
+@lru_cache(maxsize=1)
+def _tau_slots(tau: float) -> tuple[TimeSlot, ...]:
+    """Slots 2-9 of the native interval, which depend on tau alone: every
+    realization of a sweep shares these objects, so a slot-unitary cache hit
+    on them is an identity check."""
     key = RotationKey.make
     return (
-        slot(Rxy(0, key(HALF_PI, 2 * w * r.h0y * tau)), Rxy(1, key(HALF_PI, -HALF_PI))),
         slot(CZ(1, 0)),
         slot(Rxy(1, key(HALF_PI, -HALF_PI))),
         slot(Rxy(1, key(tau - HALF_PI, math.pi))),
@@ -137,6 +139,16 @@ def _interval_slots(r: DisorderRealization) -> tuple[TimeSlot, ...]:
         slot(CZ(0, 1)),
         slot(Rxy(0, key(0.0, 2 * tau)), Rxy(1, key(HALF_PI, -HALF_PI))),
         slot(CZ(1, 0)),
+    )
+
+
+def _interval_slots(r: DisorderRealization) -> tuple[TimeSlot, ...]:
+    """One native evolution interval: 10 single-qubit rotations and 4 cZ."""
+    w, tau = r.w, r.tau
+    key = RotationKey.make
+    return (
+        slot(Rxy(0, key(HALF_PI, 2 * w * r.h0y * tau)), Rxy(1, key(HALF_PI, -HALF_PI))),
+        *_tau_slots(tau),
         slot(Rxy(1, key(HALF_PI, HALF_PI + 2 * w * r.h1y * tau))),
         slot(Rxy(0, key(0.0, 2 * w * r.h0x * tau)), Rxy(1, key(0.0, 2 * w * r.h1x * tau))),
     )
@@ -318,27 +330,44 @@ class ExperimentResult:
                 "capacity": self.config.capacity}
 
 
-def _imbalance_curve(r: DisorderRealization, config: ExperimentConfig,
-                     noise: NoiseParams | None) -> list[float]:
-    """I(k) for k = 0..N of one realization, from its interval map stepped N times.
+# The sweep engine runs the realizations in blocks of about this many
+# (realization, k) points.  A realization counts as its n_steps + 1 points
+# plus 15 for its step matrix and interval (16 x 16 complex on the noisy
+# backend), so that a block's stacks stay near 1 MB at any n_realizations x
+# n_steps, n_steps 0 included; the default config's 120 realizations of 11
+# points fit in one block.
+_BLOCK_POINTS = 4096
 
-    Equals running every ``build_native_circuit(r, k)`` on ``run_ideal`` (no
-    ``noise``) or ``run_noisy``: the resets of the |00> start are identities,
-    and sampled mode draws the same shots from the same seeds.  Every k is
-    reduced at once.
+
+def _imbalance_curves(rs, config: ExperimentConfig,
+                      noise: NoiseParams | None) -> np.ndarray:
+    """I(k) for k = 0..N of each realization of ``rs`` (of ``config``), one
+    row each, from the sweep engine in blocks of about ``_BLOCK_POINTS``
+    (realization, k) points.
+
+    Row i equals running every ``build_native_circuit(rs[i], k)`` on
+    ``run_ideal`` (no ``noise``) or ``run_noisy``: the resets of the |00> start
+    are identities, and sampled mode draws the same shots from the same seeds.
+    Every point of a block is reduced at once.
     """
-    probs = simulator.sweep_probabilities((_PROLOGUE,), _interval_slots(r), (_EPILOGUE,),
-                                          r.n_steps, 2, noise)
+    per_block = max(1, _BLOCK_POINTS // (config.n_steps + 16))
     bits = np.array([basis_bit(0, 2), basis_bit(1, 2)])
-    if config.measurement_mode == "sampled":
-        means = []
-        for k, p in enumerate(probs):
-            rng = np.random.default_rng(derive_seed(r.seed, 0, k))
-            means.append(bits[:, rng.choice(4, size=config.n_avg, p=p)].mean(axis=1))
-        p0, p1 = np.transpose(means)
-    else:
-        p0, p1 = np.clip(probs @ bits.T, 0.0, 1.0).T
-    return imbalance(p0, p1).tolist()
+    curves = np.empty((len(rs), config.n_steps + 1))
+    for start in range(0, len(rs), per_block):
+        block = rs[start:start + per_block]
+        probs = simulator.sweep_probabilities((_PROLOGUE,), [_interval_slots(r) for r in block],
+                                              (_EPILOGUE,), config.n_steps, 2, noise)
+        if config.measurement_mode == "sampled":
+            p0, p1 = np.empty((2,) + probs.shape[:2])
+            for i, r in enumerate(block):
+                for k, p in enumerate(probs[i]):
+                    rng = np.random.default_rng(derive_seed(r.seed, 0, k))
+                    shots = rng.choice(4, size=config.n_avg, p=p)
+                    p0[i, k], p1[i, k] = bits[:, shots].mean(axis=1)
+        else:
+            p0, p1 = np.moveaxis(np.clip(probs @ bits.T, 0.0, 1.0), -1, 0)
+        curves[start:start + len(block)] = imbalance(p0, p1)
+    return curves
 
 
 def paged_programs(config: ExperimentConfig):
@@ -381,27 +410,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full disorder sweep.
 
     The paging totals sum the reports of every pass of :func:`paged_programs`;
-    each realization's imbalance curve over all its programs comes from one
-    :func:`simulator.sweep_probabilities` call.  Deterministic for a given
-    master seed.
+    the imbalance curves of the realizations it samples come from
+    :func:`_imbalance_curves`, every realization's curve over all its
+    programs at once.  Deterministic for a given master seed.
     """
     result = ExperimentResult(config=config, series={})
     noise = None
     if config.backend == "noisy":
         noise = config.noise if config.noise is not None else NoiseParams.octobox_defaults()
-    realizations: list[DisorderRealization] = []
-    curves: list[list[float]] = []  # one per realization, in stream order
+    realizations: list[DisorderRealization] = []  # in stream order
     for _, _, r, k, report in paged_programs(config):
         result.total_loads += len(report.loaded)
         result.total_hits += report.hits
         if k == 0:
             realizations.append(r)
-            curves.append(_imbalance_curve(r, config, noise))
+    curves = _imbalance_curves(realizations, config, noise)
 
     n = config.n_realizations
     for w_index, w in enumerate(config.w_values):
-        per_real = tuple(tuple(curve) for curve in curves[w_index * n:(w_index + 1) * n])
-        matrix = np.array(per_real)
+        matrix = curves[w_index * n:(w_index + 1) * n]
         mean = matrix.mean(axis=0)
         if n > 1:
             stderr = matrix.std(axis=0, ddof=1) / math.sqrt(n)
@@ -410,7 +437,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.series[w] = ImbalanceSeries(
             w=w, mean=tuple(float(x) for x in mean),
             stderr=tuple(float(x) for x in stderr),
-            per_realization=per_real)
+            per_realization=tuple(map(tuple, matrix.tolist())))
         result.realizations[w] = realizations[w_index * n:(w_index + 1) * n]
     return result
 
