@@ -8,7 +8,9 @@ Conventions fixed here and shared by every other module:
   builds its operators and reads its qubit bits through them, and multiplies
   operators in execution order with ``ordered_product``.  ``embed`` forms each
   Kronecker factor with ``kron``, which broadcasts the same elementwise
-  products as ``np.kron`` without its per-call overhead.
+  products as ``np.kron`` without its per-call overhead.  All three take
+  stacks of matrices on leading axes, which is how ``slot_unitaries`` builds
+  the unitaries of many slots of one shape at once.
 * A rotation key (phi, gamma) means: rotate by gamma about the axis at azimuth
   phi in the xy plane.  phi is canonical in [0, 2*pi), gamma in (-2*pi, 2*pi]
   (the sign of gamma is kept because it scales the pulse amplitude).  Angles
@@ -207,12 +209,24 @@ _ONE.setflags(write=False)
 _EYE2.setflags(write=False)
 
 
-def rxy_matrix(key: RotationKey) -> np.ndarray:
-    """2x2 unitary of a gamma rotation about the xy-plane axis at azimuth phi."""
+def _rxy_entries(key: RotationKey) -> tuple:
+    """The row-major entries of ``key``'s 2x2 unitary, as scalars."""
     c = math.cos(key.gamma / 2)
     s = math.sin(key.gamma / 2)
     e = np.exp(1j * key.phi)
-    return np.array([[c, -1j * s / e], [-1j * s * e, c]], dtype=complex)
+    return c, -1j * s / e, -1j * s * e, c
+
+
+def rxy_matrices(keys) -> np.ndarray:
+    """Stack of the 2x2 unitaries of ``keys``, shape (len(keys), 2, 2).  Each
+    entry is formed from its key's scalars alone, so a stack's matrix i equals
+    ``rxy_matrix(keys[i])`` bit for bit."""
+    return np.array([_rxy_entries(key) for key in keys], dtype=complex).reshape(-1, 2, 2)
+
+
+def rxy_matrix(key: RotationKey) -> np.ndarray:
+    """2x2 unitary of a gamma rotation about the xy-plane axis at azimuth phi."""
+    return rxy_matrices((key,))[0]
 
 
 def cz_matrix() -> np.ndarray:
@@ -221,14 +235,17 @@ def cz_matrix() -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, bit for bit ``np.kron(a, b)``: the
-    same elementwise products, broadcast in one multiply."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """Kronecker product of the matrices on the last two axes of ``a`` and
+    ``b``, broadcast over any leading axes; of two matrices, bit for bit
+    ``np.kron(a, b)``: the same elementwise products, formed in one multiply."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * p, n * q))
 
 
 def embed(ops: dict, n_qubits: int) -> np.ndarray:
-    """Tensor product of ``{qubit: 2x2 matrix}`` with identity on every other qubit."""
+    """Tensor product of ``{qubit: 2x2 matrix}`` with identity on every other
+    qubit; a stack of 2x2 matrices (..., 2, 2) gives a stack of products."""
     out = _ONE
     for q in range(n_qubits - 1, -1, -1):
         out = kron(out, ops.get(q, _EYE2))
@@ -241,32 +258,60 @@ def basis_bit(qubit: int, n_qubits: int) -> np.ndarray:
 
 
 def ordered_product(matrices, dim: int) -> np.ndarray:
-    """Product of ``dim`` x ``dim`` matrices; the first one is applied first."""
+    """Product of ``dim`` x ``dim`` matrices; the first one is applied first.
+
+    A matrix may be a stack (n, dim, dim), which makes the product a stack:
+    a single matrix among stacks is broadcast over them.  numpy multiplies
+    each matrix of a stack on its own, so matrix i of the product equals the
+    product of the matrices i alone, bit for bit.
+    """
     U = np.eye(dim, dtype=complex)
     for M in matrices:
         U = M @ U
     return U
 
 
-def instruction_unitary(instr, n_qubits: int) -> np.ndarray:
-    if isinstance(instr, Rxy):
-        return embed({instr.qubit: rxy_matrix(instr.key)}, n_qubits)
-    if isinstance(instr, CZ):
-        both = basis_bit(instr.qa, n_qubits) & basis_bit(instr.qb, n_qubits)
+def _instruction_unitaries(column, n_qubits: int) -> np.ndarray:
+    """Unitaries of instructions of one kind on the same qubits: a stack for
+    Rxy, one matrix for cZ, whose unitary has no parameter."""
+    first = column[0]
+    if len({(type(i), i.qubits) for i in column}) > 1:
+        other = next(i for i in column if (type(i), i.qubits) != (type(first), first.qubits))
+        raise ValidationError(f"slots of one stack differ in shape: {first} and {other}")
+    if isinstance(first, Rxy):
+        return embed({first.qubit: rxy_matrices([i.key for i in column])}, n_qubits)
+    if isinstance(first, CZ):
+        both = basis_bit(first.qa, n_qubits) & basis_bit(first.qb, n_qubits)
         return np.diag((1 - 2 * both).astype(complex))
-    raise NonUnitarySlot(f"{type(instr).__name__} has no unitary")
+    raise NonUnitarySlot(f"{type(first).__name__} has no unitary")
+
+
+def slot_unitaries(slots, n_qubits: int) -> np.ndarray:
+    """Stack of the unitaries of ``slots``, shape (len(slots), 2**n, 2**n).
+
+    The slots must share a shape: the same kinds on the same qubits, in
+    order.  The stack is built one instruction position at a time, from the
+    same scalars and products as a slot built alone, so matrix i equals
+    ``slot_unitary(slots[i], n_qubits)`` bit for bit.
+    """
+    counts = sorted({len(s.instructions) for s in slots})
+    if len(counts) > 1:
+        raise ValidationError(f"slots of one stack differ in shape: {counts[0]} and "
+                              f"{counts[-1]} instructions")
+    dim = 1 << n_qubits
+    columns = zip(*(s.instructions for s in slots))
+    U = ordered_product((_instruction_unitaries(c, n_qubits) for c in columns), dim)
+    return np.broadcast_to(U, (len(slots), dim, dim))
 
 
 @lru_cache(maxsize=16)
 def _slot_unitary_cached(s: TimeSlot, n_qubits: int) -> np.ndarray:
-    U = ordered_product((instruction_unitary(i, n_qubits) for i in s.instructions),
-                        1 << n_qubits)
-    U.setflags(write=False)
-    return U
+    return slot_unitaries((s,), n_qubits)[0]
 
 
 def slot_unitary(s: TimeSlot, n_qubits: int) -> np.ndarray:
-    """Tensor-product unitary of a slot; identity on untouched qubits."""
+    """Tensor-product unitary of a slot; identity on untouched qubits.  The
+    16 most recently used are cached, read-only."""
     if not s.is_unitary():
         raise NonUnitarySlot("slot contains measure/reset")
     return _slot_unitary_cached(s, n_qubits)
@@ -291,11 +336,13 @@ def program_segment_unitary(program: QuantumProgram) -> np.ndarray:
 # 2**n x 2**n operators, 1 MiB each at 8 qubits.  The slot-unitary cache keeps
 # only the 16 most recently used, so a long program of distinct slots does not
 # hold one each (`qcoproc run` on 300 distinct q7 rotations peaks at 54 MB
-# RSS); one sweep realization uses 11 distinct slots, so the sweep's hits are
-# the same at any bound from 16 up.  The noisy backend's decay needs only a
-# few arrays the size of rho: a two-slot program on it takes 0.06-0.07 s and
-# 37-38 MB peak RSS at 8 qubits, 1.5-1.7 s and 130-133 MB at 10 (2 CPUs,
-# Python 3.11, numpy 2.4).
+# RSS); the sweep engine builds through it only the slots every realization
+# shares, 8 distinct ones (the prologue, the epilogue and the 6 distinct
+# slots among the interval's 8 tau-only ones), and builds the rest as stacks,
+# so its hits are the same at any bound from 8 up.  The noisy backend's decay
+# needs only a few arrays the size of rho: a two-slot program on it takes
+# 0.06-0.07 s and 37-38 MB peak RSS at 8 qubits, 1.5-1.7 s and 130-133 MB at
+# 10 (2 CPUs, Python 3.11, numpy 2.4).
 
 MAX_QUBITS = 8
 

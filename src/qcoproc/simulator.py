@@ -18,14 +18,16 @@ Sampling is vectorized over shots when every measurement is terminal.
 
 ``sweep_probabilities`` is the engine behind the disorder sweep.  It takes a
 head, a tail and a sequence of repeated intervals of unitary slots, builds the
-map of the head, of the tail and of each interval once, and steps the states
-of all intervals together, k = 0..N, with one stacked product per k.  numpy
-multiplies each matrix of a stack on its own, so a row of the result equals a
-call on its interval alone, bit for bit.  Of each state at measurement it
-keeps the amplitudes, or the diagonal of rho, and reads the probabilities of
-all of them in one checked call.  The ideal engine multiplies slot unitaries;
-the noisy one multiplies superoperators on a row-major vec(rho), each a slot's
-decay map (``_decay`` applied to every basis matrix) times kron(U, conj(U)).
+map of the head and of the tail once and the maps of all intervals together,
+one slot position at a time as a stack (a slot that every interval shares at
+a position is built once), and steps the states of all intervals together,
+k = 0..N, with one stacked product per k.  numpy multiplies each matrix of a
+stack on its own, so a row of the result equals a call on its interval alone,
+bit for bit.  Of each state at measurement it keeps the amplitudes, or the
+diagonal of rho, and reads the probabilities of all of them in one checked
+call.  The ideal engine multiplies slot unitaries; the noisy one multiplies
+superoperators on a row-major vec(rho), each a slot's decay map (``_decay``
+applied to every basis matrix) times kron(U, conj(U)).
 ``run_ideal`` and ``run_noisy`` stay the per-program oracle.
 """
 
@@ -38,7 +40,8 @@ import numpy as np
 
 from .errors import QcoprocError, ValidationError
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  basis_bit, embed, kron, ordered_product, rxy_matrix, slot_unitary)
+                  basis_bit, embed, kron, ordered_product, rxy_matrix, slot_unitaries,
+                  slot_unitary)
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -436,24 +439,32 @@ def sweep_probabilities(head, intervals, tail, n_steps: int, n_qubits: int,
     k = 0..n_steps: an array of shape (len(intervals), n_steps + 1, 2**n).
 
     The slots must be unitary (a reset of the |0...0> start is the identity and
-    is left to the caller).  Without ``noise`` each state is a vector stepped
-    by its interval's unitary; with it, a row-major vec(rho) stepped by its
-    interval's superoperator, each slot's map being its T1/T2 decay times
-    kron(U, conj(U)), as ``run_noisy`` applies them.  The head, the tail and
-    the decay maps are built once per call, each interval's product once.
-    All states step together, one stacked product per k for the tail and one
-    for the intervals; numpy multiplies each matrix of a stack on its own, so
-    row i equals a call on ``intervals[i]`` alone, bit for bit.  Of each
-    state at measurement only the amplitudes, or the diagonal of rho, are
-    kept, never a whole vec(rho); their probabilities are read in one checked
-    call.
+    is left to the caller), and the intervals of one length, with slots of one
+    shape at each position (see ``isa.slot_unitaries``).  Without ``noise``
+    each state is a vector stepped by its interval's unitary; with it, a
+    row-major vec(rho) stepped by its interval's superoperator, each slot's
+    map being its T1/T2 decay times kron(U, conj(U)), as ``run_noisy``
+    applies them.  The head, the tail and the decay maps are built once per
+    call.  The intervals' maps are built one slot position at a time, on a
+    stack that starts as the identity: a position that holds one shared slot
+    object multiplies by that slot's single map, broadcast over the stack;
+    any other position by a stack of slot maps built in one pass.  All states
+    step together, one stacked product per k for the intervals, into a
+    preallocated buffer, and one for the rows of the tail map that
+    measurement reads, the amplitudes or the diagonal of rho, straight into
+    the record of k; never a whole vec(rho) is kept.  numpy multiplies each
+    matrix of a stack on its own, so row i equals a call on ``intervals[i]``
+    alone, bit for bit.  The probabilities are read in one checked call.
     """
+    lengths = sorted({len(interval) for interval in intervals})
+    if len(lengths) > 1:
+        raise ValidationError(f"intervals must be of one length, got lengths {lengths}")
     dim = 1 << n_qubits
     if noise is None:
         size, what, kept = dim, "state norm", slice(None)
 
-        def slot_map(s):
-            return slot_unitary(s, n_qubits)
+        def slot_map(U, s):
+            return U
 
         def read(amplitudes):
             return np.abs(amplitudes) ** 2
@@ -462,32 +473,39 @@ def sweep_probabilities(head, intervals, tail, n_steps: int, n_qubits: int,
         size, what, kept = dim * dim, "density matrix trace", slice(None, None, dim + 1)
         decay: dict = {}
 
-        def slot_map(s):
+        def slot_map(U, s):
             duration = noise.slot_duration(s)
             if duration not in decay:
                 decay[duration] = _decay_map(noise, duration, n_qubits)
-            U = slot_unitary(s, n_qubits)
             return decay[duration] @ kron(U, U.conj())
 
         def read(diagonals):
             return diagonals.real
 
-    def product(slots):
-        return ordered_product(map(slot_map, slots), size)
+    def position_map(slots):
+        """The map of the slots at one position: a shared slot's own, or a stack."""
+        first = slots[0]
+        if all(s is first for s in slots):
+            return slot_map(slot_unitary(first, n_qubits), first)
+        return slot_map(slot_unitaries(slots, n_qubits), first)
 
-    steps = np.empty((len(intervals), size, size), dtype=complex)
-    for i, interval in enumerate(intervals):
-        steps[i] = product(interval)
+    def product(positions):
+        return ordered_product(map(position_map, positions), size)
+
+    steps = product(zip(*intervals))
     state = np.zeros((len(intervals), size, 1), dtype=complex)  # a column per interval
     state[:, 0] = 1.0
-    state = product(head) @ state
-    back = product(tail)
-    # the amplitudes of each state vector, or the diagonal of each rho
-    measured = np.empty((len(intervals), n_steps + 1, dim), dtype=complex)
+    state = product(zip(head)) @ state
+    rows = product(zip(tail))[kept]  # the rows of the tail map that measurement reads
+    # k first, so that each k's product fills one contiguous block
+    measured = np.empty((n_steps + 1, len(intervals), dim, 1), dtype=complex)
+    following = np.empty_like(state)
     for k in range(n_steps + 1):
-        measured[:, k] = (back @ state)[:, kept, 0]
-        state = steps @ state
-    return _checked_probabilities(read(measured), what)
+        np.matmul(rows, state, out=measured[k])
+        np.matmul(steps, state, out=following)
+        state, following = following, state
+    return _checked_probabilities(np.ascontiguousarray(read(measured[..., 0]).swapaxes(0, 1)),
+                                  what)
 
 
 # --- spin-chain Hamiltonian and exact evolution -------------------------------------

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -311,10 +312,10 @@ class ImbalanceSeries:
     per_realization: tuple  # tuple of per-realization tuples, I(k) for k = 0..N
 
     def __post_init__(self):
-        for row in self.per_realization + (self.mean,):
-            for value in row:
-                if not abs(value) <= 1.0 + 1e-9:  # NaN fails
-                    raise ValidationError(f"imbalance {value} outside [-1, 1]")
+        values = np.fromiter(chain(*self.per_realization, self.mean), dtype=float)
+        outside = np.flatnonzero(~(np.abs(values) <= 1.0 + 1e-9))  # NaN fails
+        if outside.size:  # the first of them, in the rows, then the mean
+            raise ValidationError(f"imbalance {float(values[outside[0]])} outside [-1, 1]")
 
 
 @dataclass

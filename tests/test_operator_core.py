@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoproc.isa import CZ, basis_bit, embed, instruction_unitary
+from qcoproc.isa import CZ, basis_bit, embed, slot, slot_unitary
 from qcoproc.simulator import DensityMatrix, StateVector
 
 N = 3
@@ -52,7 +52,7 @@ def test_embed_matches_index_reference(ops):
 @given(st.permutations(range(N)))
 def test_cz_is_minus_one_where_both_bits_are_set(order):
     qa, qb = order[0], order[1]
-    U = instruction_unitary(CZ(qa, qb), N)
+    U = slot_unitary(slot(CZ(qa, qb)), N)
     expected = [-1.0 if _bit(i, qa) and _bit(i, qb) else 1.0 for i in range(DIM)]
     assert np.array_equal(U, np.diag(expected).astype(complex))
 

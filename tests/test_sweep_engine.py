@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoproc import simulator, workload
+from qcoproc import isa, simulator, workload
 from qcoproc.errors import ValidationError
-from qcoproc.isa import basis_bit, ordered_product, slot_unitary
+from qcoproc.isa import (CZ, RotationKey, Rxy, TimeSlot, basis_bit, kron, ordered_product, slot,
+                         slot_unitaries, slot_unitary)
 from qcoproc.simulator import DensityMatrix, NoiseParams, run_ideal, run_noisy
 from qcoproc.workload import (ExperimentConfig, build_native_circuit, derive_seed,
                               imbalance, paged_programs, run_experiment)
@@ -32,8 +33,9 @@ def _noise(draw):
 def _configs(draw):
     backend = draw(st.sampled_from(("ideal", "noisy")))
     return ExperimentConfig(
-        w_values=(draw(st.floats(0.0, 30.0)),),
-        n_realizations=draw(st.integers(1, 2)),
+        w_values=tuple(draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=2,
+                                     unique=True))),
+        n_realizations=draw(st.integers(1, 5)),
         tau=draw(st.floats(0.005, 0.1)) * math.pi,
         n_steps=draw(st.integers(0, 4)),
         master_seed=draw(st.integers(0, 2**32)),
@@ -61,12 +63,14 @@ def _oracle_imbalance(config: ExperimentConfig, r, k: int) -> float:
 @settings(max_examples=40, deadline=None)
 @given(_configs())
 def test_engine_curves_equal_per_program_backends(config):
+    """Up to ten realizations in one block: its interval maps mix positions of
+    one shared slot (the tau-only ones) with stacks of unshared slots."""
     result = run_experiment(config)
-    w = config.w_values[0]
-    for r, curve in zip(result.realizations[w], result.series[w].per_realization):
-        assert len(curve) == config.n_steps + 1
-        for k, value in enumerate(curve):
-            assert abs(value - _oracle_imbalance(config, r, k)) < 1e-12
+    for w in config.w_values:
+        for r, curve in zip(result.realizations[w], result.series[w].per_realization):
+            assert len(curve) == config.n_steps + 1
+            for k, value in enumerate(curve):
+                assert abs(value - _oracle_imbalance(config, r, k)) < 1e-12
 
 
 def test_default_chip_noise_is_used_without_a_noise_block():
@@ -77,6 +81,86 @@ def test_default_chip_noise_is_used_without_a_noise_block():
     chip = ExperimentConfig(**{**config.__dict__, "noise": NoiseParams.octobox_defaults()})
     for k, value in enumerate(curve):
         assert abs(value - _oracle_imbalance(chip, r, k)) < 1e-12
+
+
+_angles = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _same_shape_slots(draw):
+    """(n_qubits, slots): 1-4 slots of one shape, the same kinds on the same
+    qubits in the same order, on 1-3 qubits, with keys of gamma 0, phi 0 and
+    negative gamma among them."""
+    n_qubits = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n_qubits)))
+    shape, i = [], 0
+    while i < n_qubits:
+        kind = draw(st.sampled_from(("rxy", "cz", "idle") if i + 1 < n_qubits else ("rxy", "idle")))
+        if kind == "cz":
+            shape.append(order[i:i + 2])
+        elif kind == "rxy":
+            shape.append(order[i])
+        i += 2 if kind == "cz" else 1
+
+    def instruction(qubits):
+        if isinstance(qubits, int):
+            return Rxy(qubits, RotationKey.make(draw(_angles), draw(_angles)))
+        return CZ(*qubits)
+
+    n_slots = draw(st.integers(1, 4))
+    return n_qubits, [TimeSlot(tuple(instruction(q) for q in shape)) for _ in range(n_slots)]
+
+
+def _slot_unitary_ref(s: TimeSlot, n_qubits: int) -> np.ndarray:
+    """A slot built alone as the per-slot builder formed it: each Rxy matrix
+    from its key's scalars, embedded by a chain of ``np.kron`` calls, each
+    instruction multiplied in order onto the identity."""
+    U = np.eye(1 << n_qubits, dtype=complex)
+    for instr in s.instructions:
+        if isinstance(instr, Rxy):
+            c, sin = math.cos(instr.key.gamma / 2), math.sin(instr.key.gamma / 2)
+            e = np.exp(1j * instr.key.phi)
+            M = np.ones((1, 1), dtype=complex)
+            for q in range(n_qubits - 1, -1, -1):
+                M = np.kron(M, np.array([[c, -1j * sin / e], [-1j * sin * e, c]], dtype=complex)
+                            if q == instr.qubit else np.eye(2, dtype=complex))
+        else:
+            both = basis_bit(instr.qa, n_qubits) & basis_bit(instr.qb, n_qubits)
+            M = np.diag((1 - 2 * both).astype(complex))
+        U = M @ U
+    return U
+
+
+@settings(max_examples=100, deadline=None)
+@given(_same_shape_slots(), _noise())
+def test_stacked_slot_maps_equal_per_slot_maps_exactly(case, noise):
+    """Matrix i of a stack equals the slot built alone, bit for bit: the
+    unitary, and the noisy map decay @ kron(V, conj V) that the engine steps."""
+    n_qubits, slots = case
+    noise = NoiseParams(t1=noise.t1 + (3e-5,), t2=noise.t2 + (2e-5,))
+    stack = slot_unitaries(slots, n_qubits)
+    decay = simulator._decay_map(noise, noise.slot_duration(slots[0]), n_qubits)
+    maps = decay @ kron(stack, stack.conj())
+    assert stack.shape == (len(slots), 1 << n_qubits, 1 << n_qubits)
+    for s, V, M in zip(slots, stack, maps):
+        alone = slot_unitary(s, n_qubits)
+        assert V.tobytes() == alone.tobytes() == _slot_unitary_ref(s, n_qubits).tobytes()
+        assert M.tobytes() == (decay @ kron(alone, alone.conj())).tobytes()
+
+
+@pytest.mark.parametrize("intervals, message", [
+    ([(slot(CZ(0, 1)),), (slot(CZ(0, 1)), slot(CZ(0, 1)))],
+     r"^intervals must be of one length, got lengths \[1, 2\]$"),
+    ([(slot(CZ(0, 1)),), (slot(CZ(1, 0)),)], r"^slots of one stack differ in shape: "),
+    ([(slot(Rxy(0, RotationKey.make(0.0, 1.0))),), (slot(Rxy(1, RotationKey.make(0.0, 1.0))),)],
+     r"^slots of one stack differ in shape: "),
+])
+@pytest.mark.parametrize("backend", ["ideal", "noisy"])
+def test_engine_rejects_intervals_that_do_not_stack(intervals, message, backend):
+    noise = NoiseParams.octobox_defaults() if backend == "noisy" else None
+    with pytest.raises(ValidationError, match=message) as err:
+        simulator.sweep_probabilities((), intervals, (), 2, 2, noise)
+    assert "\n" not in str(err.value)
 
 
 def test_engine_rejects_noise_for_too_few_qubits():
@@ -151,6 +235,15 @@ def test_imbalance_curve_equals_per_k_loop_exactly(default_realizations, backend
     assert curves.shape == (120, 11)
     for r, curve in zip(default_realizations, curves):
         assert curve.tolist() == _per_k_curve(r, config, noise)
+
+
+def test_sweep_builds_only_the_shared_slots_through_the_slot_cache(default_realizations):
+    """Of the 120 default realizations' interval slots, only the 8 tau-only
+    slots every realization shares, and the prologue and epilogue, are built
+    one by one; the rest are stacks built outside the cache."""
+    isa._slot_unitary_cached.cache_clear()
+    workload._imbalance_curves(default_realizations, ExperimentConfig(), None)
+    assert isa._slot_unitary_cached.cache_info().misses <= 10
 
 
 def _realizations(n: int, n_steps: int) -> list:

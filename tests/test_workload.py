@@ -223,6 +223,19 @@ class TestImbalance:
         with pytest.raises(ValidationError, match="outside"):
             ImbalanceSeries(w=1.0, mean=(value,), stderr=(0.0,), per_realization=((value,),))
 
+    @pytest.mark.parametrize("rows, mean, named", [
+        (((0.5, -0.25), (math.nan, 1.5)), (0.0, 0.0), "nan"),  # NaN, ahead of a 1.5
+        (((0.5, -0.25), (0.0, 1.5), (-2.0, 0.0)), (3.0, 0.0), "1.5"),  # rows before the mean
+        (((0.5, -0.25), (0.0, 1.0)), (0.0, 1.5), "1.5"),  # in the mean alone
+    ])
+    def test_series_names_its_first_value_outside_rows_then_mean(self, rows, mean, named):
+        with pytest.raises(ValidationError, match=rf"^imbalance {named} outside \[-1, 1\]$"):
+            ImbalanceSeries(w=1.0, mean=mean, stderr=(0.0,) * len(mean), per_realization=rows)
+
+    def test_series_accepts_rounding_past_one(self):
+        edge = (1.0 + 1e-10, -1.0 - 1e-10)
+        ImbalanceSeries(w=1.0, mean=edge, stderr=(0.0, 0.0), per_realization=(edge,))
+
 
 class TestExperiment:
     def test_single_clean_realization_matches_exact_trotter(self):
