@@ -151,7 +151,7 @@ def _golden_dict(config: workload.ExperimentConfig,
     return {
         "config_hash": config_hash(config),
         "tool_version": __version__,
-        "values": {repr(float(w)): list(result.series[w].mean)
+        "values": {repr(float(w)): result.series[w].mean.tolist()
                    for w in config.w_values},
     }
 
@@ -172,9 +172,12 @@ def compare_golden(config: workload.ExperimentConfig,
         recorded = values[repr(float(w))]
         if not isinstance(recorded, list) or len(recorded) != config.n_steps + 1:
             raise GoldenMismatch(f"golden for w={w:g} must list {config.n_steps + 1} values")
-        for k, (a, b) in enumerate(zip(result.series[w].mean, recorded)):
-            if not (isinstance(b, (int, float)) and math.isfinite(a) and math.isfinite(b)
-                    and abs(a - b) <= tol):
+        for k, (a, b) in enumerate(zip(result.series[w].mean.tolist(), recorded)):
+            try:  # NaN and infinities fail the comparison; the series holds neither
+                close = abs(a - simulator.as_float("golden value", b)) <= tol
+            except ValidationError:  # a bool, a string or an int past the float range
+                close = False
+            if not close:
                 offending.append((float(w), k, a, b))
     if offending:
         listing = ", ".join(f"(w={w:g}, k={k}: {a!r} != {b!r})"

@@ -248,10 +248,7 @@ class MeasurementRecord:
         body: dict = {"mode": self.mode}
         if self.mode == "sampled":
             body["n_avg"] = self.n_avg
-        body["registers"] = {
-            name: (value if isinstance(value, float) else list(map(int, value)))
-            for name, value in self.registers.items()
-        }
+        body["registers"] = dict(self.registers)  # floats, or lists of Python ints
         return body
 
 

@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -302,20 +301,21 @@ def derive_seed(master_seed: int, w_index: int, realization_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImbalanceSeries:
-    """Imbalance vs Trotter step, per realization and averaged across them."""
+    """Imbalance vs Trotter step, per realization and averaged across them, as
+    the read-only arrays the sweep computes them in."""
 
     w: float
-    mean: tuple
-    stderr: tuple
-    per_realization: tuple  # tuple of per-realization tuples, I(k) for k = 0..N
+    mean: np.ndarray
+    stderr: np.ndarray
+    per_realization: np.ndarray  # one row per realization, I(k) for k = 0..N
 
     def __post_init__(self):
-        values = np.fromiter(chain(*self.per_realization, self.mean), dtype=float)
-        outside = np.flatnonzero(~(np.abs(values) <= 1.0 + 1e-9))  # NaN fails
-        if outside.size:  # the first of them, in the rows, then the mean
-            raise ValidationError(f"imbalance {float(values[outside[0]])} outside [-1, 1]")
+        for values in (np.ravel(self.per_realization), np.ravel(self.mean)):
+            outside = np.flatnonzero(~(np.abs(values) <= 1.0 + 1e-9))  # NaN fails
+            if outside.size:  # the first of them, in the rows, then the mean
+                raise ValidationError(f"imbalance {float(values[outside[0]])} outside [-1, 1]")
 
 
 @dataclass
@@ -332,11 +332,12 @@ class ExperimentResult:
 
 
 # The sweep engine runs the realizations in blocks of about this many
-# (realization, k) points.  A realization counts as its n_steps + 1 points
-# plus 15 for its step matrix and interval (16 x 16 complex on the noisy
-# backend), so that a block's stacks stay near 1 MB at any n_realizations x
-# n_steps, n_steps 0 included; the default config's 120 realizations of 11
-# points fit in one block.
+# (realization, k) points: a realization counts as its n_steps + 1 points
+# plus 15 for its step matrix and interval, which bounds a block's rows and
+# step matrices, n_steps 0 included.  The few (n, 16, 16) stacks that the
+# noisy backend holds while it builds a block's interval maps are not
+# counted: 4 096 noisy realizations at n_steps 0 (blocks of 256) peak near
+# 4.7 MB traced.  The default config's 120 realizations fit in one block.
 _BLOCK_POINTS = 4096
 
 
@@ -426,19 +427,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if k == 0:
             realizations.append(r)
     curves = _imbalance_curves(realizations, config, noise)
+    curves.flags.writeable = False  # each series' rows are a view of it
 
     n = config.n_realizations
     for w_index, w in enumerate(config.w_values):
         matrix = curves[w_index * n:(w_index + 1) * n]
         mean = matrix.mean(axis=0)
-        if n > 1:
-            stderr = matrix.std(axis=0, ddof=1) / math.sqrt(n)
-        else:
-            stderr = np.zeros_like(mean)
-        result.series[w] = ImbalanceSeries(
-            w=w, mean=tuple(float(x) for x in mean),
-            stderr=tuple(float(x) for x in stderr),
-            per_realization=tuple(map(tuple, matrix.tolist())))
+        stderr = matrix.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+        mean.flags.writeable = stderr.flags.writeable = False
+        result.series[w] = ImbalanceSeries(w=w, mean=mean, stderr=stderr,
+                                           per_realization=matrix)
         result.realizations[w] = realizations[w_index * n:(w_index + 1) * n]
     return result
 
@@ -458,8 +456,8 @@ def experiment_csv(result: ExperimentResult) -> str:
 
 
 def experiment_json(result: ExperimentResult) -> str:
-    body = {repr(float(w)): {"mean": list(result.series[w].mean),
-                             "stderr": list(result.series[w].stderr)}
+    body = {repr(float(w)): {"mean": result.series[w].mean.tolist(),
+                             "stderr": result.series[w].stderr.tolist()}
             for w in result.config.w_values}
     return json.dumps({"n_realizations": result.config.n_realizations,
                        "imbalance": body}, indent=2, sort_keys=True)
@@ -471,7 +469,7 @@ def realizations_json(result: ExperimentResult) -> str:
     for w in result.config.w_values:
         series = result.series[w]
         for r, curve in zip(result.realizations[w], series.per_realization):
-            rows.append({**r.to_json_dict(), "I": list(curve)})
+            rows.append({**r.to_json_dict(), "I": curve.tolist()})
     return json.dumps(rows, indent=2)
 
 

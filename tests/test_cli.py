@@ -253,24 +253,30 @@ class TestExperiment:
         assert run_cli("experiment", "--config", str(config), "--out", str(out),
                        "--golden", str(golden)) == 0
 
-    def test_golden_mismatch_exit_code(self, tmp_path):
+    def test_golden_mismatch_exit_code(self, tmp_path, capsys):
         config = small_config(tmp_path)
         golden = tmp_path / "golden.json"
         out = tmp_path / "out"
         run_cli("experiment", "--config", str(config), "--out", str(out),
                 "--write-golden", str(golden))
         body = json.loads(golden.read_text())
+        a = body["values"]["1.0"][1]
         body["values"]["1.0"][1] += 1e-6
         golden.write_text(json.dumps(body))
+        capsys.readouterr()
         assert run_cli("experiment", "--config", str(config), "--out", str(out),
                        "--golden", str(golden)) == 5
+        b = body["values"]["1.0"][1]
+        assert capsys.readouterr().err == f"error: golden mismatch at (w=1, k=1: {a!r} != {b!r})\n"
 
     @pytest.mark.parametrize("corrupt", [
         lambda values: values["1.0"].pop(),
         lambda values: values["1.0"].__setitem__(1, math.nan),
         lambda values: values.pop("25.0"),
         lambda values: values.__setitem__("3.0", values["1.0"]),
-    ], ids=["truncated", "nan", "missing-w", "extra-w"])
+        lambda values: values["1.0"].__setitem__(0, True),  # the mean at k = 0 is 1.0
+        lambda values: values["1.0"].__setitem__(1, 10**400),  # json reads it as an int
+    ], ids=["truncated", "nan", "missing-w", "extra-w", "bool", "int-past-float-range"])
     def test_malformed_golden_is_mismatch(self, tmp_path, corrupt):
         config = small_config(tmp_path)
         golden = tmp_path / "golden.json"

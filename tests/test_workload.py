@@ -277,8 +277,9 @@ class TestExperiment:
         config = ExperimentConfig(n_realizations=2, n_steps=3)
         a = run_experiment(config)
         b = run_experiment(config)
-        assert a.series[1.0].mean == b.series[1.0].mean
-        assert a.series[25.0].per_realization == b.series[25.0].per_realization
+        assert a.series[1.0].mean.tobytes() == b.series[1.0].mean.tobytes()
+        assert (a.series[25.0].per_realization.tobytes()
+                == b.series[25.0].per_realization.tobytes())
 
     def test_share_realizations_flag(self):
         shared = ExperimentConfig(n_realizations=2, n_steps=1,
