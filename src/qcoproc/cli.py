@@ -246,27 +246,24 @@ def paging_report_text(config: workload.ExperimentConfig) -> str:
     """The paging trace of ``config``, byte for byte as ``json.dumps(body,
     indent=2, sort_keys=True) + "\\n"`` prints it.
 
-    ``body`` holds the capacity, one run per pass of
-    :func:`workload.paged_programs` (w, realization, k and the pass's
-    ``PageReport.to_json_dict()``) and the total loads and hits.  ``json``
-    with ``indent`` runs its pure-Python encoder; the default trace holds
-    some 138 k rotation objects but only a few hundred distinct ones, so
-    here each rotation is formatted once.  The stream yields a repeated
-    pass's report object again (k = 3..10 repeat k = 2 on the default
-    config), so each distinct report is formatted once too, as its text
-    before ``"k": `` and after it, and every pass adds only its k.  Config
+    ``body`` holds the capacity, one run per (w, realization, k) program
+    (its w, realization, k and ``PageReport.to_json_dict()``) and the total
+    loads and hits.  ``json`` with ``indent`` runs its pure-Python encoder;
+    the default trace holds some 138 k rotation objects but only a few
+    hundred distinct ones, so here each rotation is formatted once.  Each
+    pass of :func:`workload.paged_programs` is formatted once too, as its
+    text before ``"k": `` and after it, and printed for every k in its
+    ``ks`` (k = 2..10 share one pass on the default config).  Config
     validation keeps every float finite, which ``float.__repr__`` then
     prints as ``json`` does.
     """
     keys = _RotationFragments().json_list
     parts = [f'{{\n  "capacity": {config.capacity},\n  "runs": [\n']
     total_loads = total_hits = 0
-    last = None  # the report that head and tail were formatted from
-    for w, i, _, k, report in workload.paged_programs(config):
-        total_loads += len(report.loaded)
-        total_hits += report.hits
-        if report is not last:  # by identity: repeats come from one realization
-            last = report
+    for i, r, passes in workload.paged_programs(config):
+        for ks, report in passes:
+            total_loads += len(ks) * len(report.loaded)
+            total_hits += len(ks) * report.hits
             loaded = keys(report.loaded)
             head = (f'    {{\n'
                     f'      "dlst": {keys(sorted(report.dlst))},\n'
@@ -278,9 +275,10 @@ def paging_report_text(config: workload.ExperimentConfig) -> str:
                     f'      "loaded": {loaded},\n'
                     f'      "mlst": {loaded},\n'
                     f'      "realization": {i},\n'
-                    f'      "w": {float.__repr__(float(w))}\n'
+                    f'      "w": {float.__repr__(float(r.w))}\n'
                     f'    }},\n')
-        parts += (head, str(k), tail)
+            for k in ks:
+                parts += (head, str(k), tail)
     parts[-1] = tail[:-2]  # the last run takes no comma
     parts.append(f'\n  ],\n  "total_hits": {total_hits},\n'
                  f'  "total_loads": {total_loads}\n}}\n')

@@ -375,14 +375,16 @@ def _imbalance_curves(rs, config: ExperimentConfig,
 def paged_programs(config: ExperimentConfig):
     """The sweep's program stream, paged through one waveform context.
 
-    Samples each realization, scans its last built program once (its rotation
-    set contains the k = 0 program's), then pages its Trotter-step programs in
-    canonical order (w index, realization index, k), and yields
-    ``(w, i, r, k, report)``.  Every k >= 1 program has the same rotation set,
-    and a pass that loads nothing leaves the table and the eviction RNG as
-    they were, so a repeat of such a pass (k >= 2) yields the previous
-    ``PageReport`` object again without paging: at most three passes per
-    realization are paged.
+    Samples each realization in canonical order (w index, realization index),
+    scans its last built program once (its rotation set contains the k = 0
+    program's) and yields ``(i, r, passes)``: each pass it paged, in k order,
+    as ``(ks, report)``, where ``ks`` is the ``range`` of Trotter steps whose
+    programs the report stands for.  Paging reads only a program's rotation
+    set, the same for every k >= 1, so the passes are ``range(0, 1)``,
+    ``range(1, 2)`` and ``range(2, n_steps + 1)``, as many as ``n_steps``
+    allows.  k = 2 pages the rotation set that k = 1 left resident, so it
+    loads nothing and leaves the table and the eviction RNG as they were, and
+    every later k would repeat its report.
     Deterministic for a given master seed.
     """
     rct = wavemem.RCT(capacity=config.capacity)
@@ -396,24 +398,23 @@ def paged_programs(config: ExperimentConfig):
                                 np.random.default_rng(seed), seed=seed)
             programs = [build_native_circuit(r, k) for k in range(min(r.n_steps, 1) + 1)]
             wavemem.dgs_scan(programs[-1], qos)
-            for k in range(r.n_steps + 1):
-                # paging reads only the program's rotation set, the same for every
-                # k >= 1, so a repeat of a pass that loaded nothing loads nothing
-                if k < 2 or report.loaded:
-                    try:
-                        _, report = wavemem.page_update(programs[min(k, 1)], rct, evict_rng)
-                    except CapacityExceeded as exc:
-                        raise CapacityExceeded(
-                            f"w={w:g} realization {i} (seed {r.seed}) k={k}: {exc}") from exc
-                yield w, i, r, k, report
+            passes = []
+            for ks in (range(0, 1), range(1, 2), range(2, r.n_steps + 1))[:r.n_steps + 1]:
+                try:
+                    _, report = wavemem.page_update(programs[min(ks[0], 1)], rct, evict_rng)
+                except CapacityExceeded as exc:
+                    raise CapacityExceeded(
+                        f"w={w:g} realization {i} (seed {r.seed}) k={ks[0]}: {exc}") from exc
+                passes.append((ks, report))
+            yield i, r, tuple(passes)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full disorder sweep.
 
-    The paging totals sum the reports of every pass of :func:`paged_programs`;
-    the imbalance curves of the realizations it samples come from
-    :func:`_imbalance_curves`, every realization's curve over all its
+    The paging totals count each pass of :func:`paged_programs` once for every
+    k it stands for; the imbalance curves of the realizations it samples come
+    from :func:`_imbalance_curves`, every realization's curve over all its
     programs at once.  Deterministic for a given master seed.
     """
     result = ExperimentResult(config=config, series={})
@@ -421,11 +422,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.backend == "noisy":
         noise = config.noise if config.noise is not None else NoiseParams.octobox_defaults()
     realizations: list[DisorderRealization] = []  # in stream order
-    for _, _, r, k, report in paged_programs(config):
-        result.total_loads += len(report.loaded)
-        result.total_hits += report.hits
-        if k == 0:
-            realizations.append(r)
+    for _, r, passes in paged_programs(config):
+        realizations.append(r)
+        for ks, report in passes:
+            result.total_loads += len(ks) * len(report.loaded)
+            result.total_hits += len(ks) * report.hits
     curves = _imbalance_curves(realizations, config, noise)
     curves.flags.writeable = False  # each series' rows are a view of it
 

@@ -263,7 +263,8 @@ def test_criterion_6_paging_invariants(default_experiment):
     start = time.monotonic()
     config, result, _ = default_experiment
 
-    reports = [rep for *_, rep in workload.paged_programs(config)]
+    reports = [rep for _, _, passes in workload.paged_programs(config)
+               for ks, rep in passes for _ in ks]
     total_loads = 0
     for rep in reports:
         assert tuple(sorted(rep.mlst)) == rep.loaded

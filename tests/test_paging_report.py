@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoproc import cli, workload
+from qcoproc import cli
 from qcoproc.workload import ExperimentConfig
 
 REPO = Path(__file__).resolve().parent.parent
@@ -17,10 +17,11 @@ DEFAULT_CONFIG = REPO / "configs" / "experiment_default.json"
 REFERENCE = REPO / "perfbench" / "reference.json"
 
 
-def _json_dumps_report(config: ExperimentConfig) -> str:
-    """The trace as the CLI printed it through ``json.dumps`` before the formatter."""
+def _json_dumps_report(config: ExperimentConfig, replay) -> str:
+    """The trace as the CLI printed it through ``json.dumps`` before the
+    formatter, with one run per program of the per-program ``replay``."""
     runs = [{"w": float(w), "realization": i, "k": k, **report.to_json_dict()}
-            for w, i, _, k, report in workload.paged_programs(config)]
+            for w, i, _, k, report in replay(config)]
     body = {"capacity": config.capacity,
             "total_loads": sum(len(run["loaded"]) for run in runs),
             "total_hits": sum(run["hits"] for run in runs), "runs": runs}
@@ -34,7 +35,7 @@ def _configs(draw):
     return ExperimentConfig(
         w_values=tuple([negative] + [w for w in others if w != negative]),
         n_realizations=draw(st.integers(1, 4)),
-        n_steps=draw(st.integers(0, 6)),  # k >= 3 reuses k = 2's report
+        n_steps=draw(st.integers(0, 6)),  # k >= 3 shares k = 2's pass
         master_seed=draw(st.integers(0, 2**32)),
         capacity=draw(st.integers(10, 16)),  # small enough to evict
         share_realizations_across_w=draw(st.booleans()))
@@ -42,24 +43,24 @@ def _configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_configs())
-def test_formatter_matches_json_dumps(config):
-    assert cli.paging_report_text(config) == _json_dumps_report(config)
+def test_formatter_matches_json_dumps(per_program_replay, config):
+    assert cli.paging_report_text(config) == _json_dumps_report(config, per_program_replay)
 
 
-def test_formatter_matches_json_dumps_with_evictions():
+def test_formatter_matches_json_dumps_with_evictions(per_program_replay):
     config = ExperimentConfig(w_values=(-2.5, 25.0), n_realizations=4, n_steps=3,
                               capacity=10)
     text = cli.paging_report_text(config)
-    assert text == _json_dumps_report(config)
+    assert text == _json_dumps_report(config, per_program_replay)
     assert any(run["evicted"] for run in json.loads(text)["runs"])
 
 
-def test_runs_after_an_evicting_k1():
+def test_runs_after_an_evicting_k1(per_program_replay):
     """An eviction at k = 1 changes k = 2's DLST, and every later k prints
     k = 2's run with only its "k" changed."""
     config = ExperimentConfig(w_values=(25.0,), n_realizations=4, n_steps=6, capacity=10)
     text = cli.paging_report_text(config)
-    assert text == _json_dumps_report(config)
+    assert text == _json_dumps_report(config, per_program_replay)
     runs = json.loads(text)["runs"]
     by_realization = [runs[i * 7:(i + 1) * 7] for i in range(4)]
     evicting = [r for r in by_realization if r[1]["evicted"]]

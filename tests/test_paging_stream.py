@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoproc import wavemem
-from qcoproc.isa import Rxy
 from qcoproc.wavemem import program_rotation_keys
 from qcoproc.workload import (DEFAULT_TAU, ExperimentConfig, build_native_circuit,
-                              derive_seed, paged_programs, sample_disorder)
+                              paged_programs, sample_disorder)
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "experiment_default.json"
 
@@ -23,52 +22,27 @@ def _configs(draw):
         w_values=tuple(draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=2,
                                      unique=True))),
         n_realizations=draw(st.integers(1, 3)),
-        n_steps=draw(st.integers(0, 8)),  # k >= 3 repeats k = 2
+        n_steps=draw(st.integers(0, 8)),  # k >= 3 shares k = 2's pass
         master_seed=draw(st.integers(0, 2**32)),
         capacity=draw(st.integers(12, 40)),  # small enough to evict
         share_realizations_across_w=draw(st.booleans()))
 
 
-def _assert_stream_sound(program, rct):
-    """The table and the codeword stream ``assign_codewords`` reads from it
-    stay sound: distinct rotation codewords in [0, capacity), one codeword per
-    rotation, and cZ/measure/reset at their reserved codewords."""
-    table = list(rct.codewords.values())
-    assert len(set(table)) == len(table)
-    assert all(0 <= cw < rct.capacity for cw in table)
-    by_key: dict = {}
-    for instr, cw in zip(program.instructions(), wavemem.assign_codewords(program, rct)):
-        if isinstance(instr, Rxy):
-            assert by_key.setdefault(instr.key, cw) == cw
-        else:
-            assert cw == rct.capacity + wavemem.RESERVED_CODEWORDS[type(instr)]
-    assert len(set(by_key.values())) == len(by_key)
-
-
-def _per_program_replay(config: ExperimentConfig):
-    """Build, scan and page ``build_native_circuit(r, k)`` for every (w, i, k),
-    checking the codeword stream after every pass."""
-    rct = wavemem.RCT(capacity=config.capacity)
-    qos: dict = {}
-    evict_rng = np.random.default_rng(derive_seed(config.master_seed, 0xE, 0xE))
-    for w_index, w in enumerate(config.w_values):
-        for i in range(config.n_realizations):
-            seed = derive_seed(config.master_seed,
-                               0 if config.share_realizations_across_w else w_index, i)
-            r = sample_disorder(w, config.tau, config.n_steps,
-                                np.random.default_rng(seed), seed=seed)
-            for k in range(config.n_steps + 1):
-                program = build_native_circuit(r, k)
-                wavemem.dgs_scan(program, qos)
-                _, report = wavemem.page_update(program, rct, evict_rng)
-                _assert_stream_sound(program, rct)
-                yield w, i, r, k, report
+def _expand(config: ExperimentConfig):
+    """The stream as one ``(w, i, r, k, report)`` entry per program, each pass
+    repeated for every k in its ``ks``; checks that each realization's ``ks``
+    cover 0..n_steps once, in order."""
+    for i, r, passes in paged_programs(config):
+        steps = [k for ks, _ in passes for k in ks]
+        assert steps == list(range(config.n_steps + 1))
+        for ks, report in passes:
+            yield from ((r.w, i, r, k, report) for k in ks)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_configs())
-def test_stream_equals_per_program_replay(config):
-    assert list(paged_programs(config)) == list(_per_program_replay(config))
+def test_stream_equals_per_program_replay(per_program_replay, config):
+    assert list(_expand(config)) == list(per_program_replay(config))
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,7 +55,7 @@ def test_first_interval_program_holds_every_k0_rotation(w, n_steps, seed):
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 4])
-def test_stream_scans_each_realization_once(monkeypatch, n_steps):
+def test_stream_scans_each_realization_once(monkeypatch, per_program_replay, n_steps):
     """One scan per realization, of the last program it builds, yet the
     registry ends as the per-program replay's."""
     registries = []  # the registry each scan extended, in call order
@@ -96,7 +70,7 @@ def test_stream_scans_each_realization_once(monkeypatch, n_steps):
                               capacity=16)
     list(paged_programs(config))
     n_scans, stream_registry = len(registries), registries[-1]
-    list(_per_program_replay(config))
+    list(per_program_replay(config))
     assert n_scans == 2 * 3
     assert stream_registry.keys() == registries[-1].keys()
 
@@ -116,7 +90,7 @@ def _count_page_updates(monkeypatch, config: ExperimentConfig) -> int:
 
 def test_default_stream_pages_each_realization_three_times(monkeypatch):
     """k = 0, k = 1 and k = 2 (whose DLST an eviction at k = 1 changes); the
-    passes k = 3..10 repeat k = 2, which loaded nothing."""
+    k = 2 pass stands for k = 2..10."""
     config = ExperimentConfig.from_json_dict(json.loads(DEFAULT_CONFIG.read_text()))
     assert _count_page_updates(monkeypatch, config) == 360  # of 1 320 passes
 
@@ -126,3 +100,13 @@ def test_stream_pages_at_most_three_passes(monkeypatch, n_steps, per_realization
     config = ExperimentConfig(w_values=(1.0, 25.0), n_realizations=3, n_steps=n_steps,
                               capacity=16)
     assert _count_page_updates(monkeypatch, config) == 2 * 3 * per_realization
+
+
+def test_realizations_that_reuse_a_rotation_set(monkeypatch, per_program_replay):
+    """At w = 0 every realization needs the first one's rotations, so k = 1
+    loads nothing after the first realization, and k = 2 is paged anyway."""
+    config = ExperimentConfig(w_values=(0.0,), n_realizations=4, n_steps=6)
+    records = list(paged_programs(config))
+    assert all(not passes[1][1].loaded for _, _, passes in records[1:])
+    assert list(_expand(config)) == list(per_program_replay(config))
+    assert _count_page_updates(monkeypatch, config) == 4 * (min(config.n_steps, 2) + 1)

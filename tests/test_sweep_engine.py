@@ -222,7 +222,7 @@ def _per_k_curve(r, config: ExperimentConfig, noise) -> list[float]:
 def default_realizations():
     """The shipped config's 120 realizations, in stream order."""
     config = ExperimentConfig.from_json_dict(json.loads(DEFAULT_CONFIG.read_text()))
-    return [r for _, _, r, k, _ in paged_programs(config) if k == 0]
+    return [r for _, r, _ in paged_programs(config)]
 
 
 @pytest.mark.parametrize("backend", ["ideal", "noisy"])

@@ -16,6 +16,7 @@ from qcoproc.compiler import frame_rotate_z_to_y, lower, schedule
 from qcoproc.errors import QcoprocError, ValidationError
 from qcoproc.isa import Measure, RotationKey, Rxy
 from qcoproc.simulator import evolution_operator, hamiltonian_matrix, run_ideal
+from qcoproc.wavemem import program_rotation_keys
 from qcoproc.workload import (DEFAULT_TAU, DisorderRealization, ExperimentConfig,
                               ImbalanceSeries, build_native_circuit, build_source_circuit,
                               derive_seed, exact_imbalance_curve, gate_census,
@@ -256,12 +257,23 @@ class TestExperiment:
         assert compiler.equivalence_check(
             U, evolution_operator(H, DEFAULT_TAU)).phase_invariant_distance < 1e-7
 
+    def test_clean_curves_equal_the_closed_form(self):
+        """At w = 0 the native interval is exact, so every realization's curve
+        is I(k) = cos(4 k tau); every realization after the first reuses the
+        first one's rotation set."""
+        config = ExperimentConfig(w_values=(0.0,), n_realizations=5, n_steps=200)
+        series = run_experiment(config).series[0.0]
+        closed_form = np.cos(4 * np.arange(config.n_steps + 1) * config.tau)
+        for row in series.per_realization:
+            np.testing.assert_allclose(row, closed_form, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(series.mean, closed_form, rtol=0, atol=1e-12)
+
     def test_exact_oracle_bounded_on_every_default_realization(self):
         """Rounding put P(|1>) at 1.0000000000000004 (w=1, i=0 of the default
         sweep) and the oracle's probability check raised on 50 of the 120
         realizations."""
         config = ExperimentConfig.from_json_dict(json.loads(DEFAULT_CONFIG.read_text()))
-        realizations = [r for _, _, r, k, _ in paged_programs(config) if k == 0]
+        realizations = [r for _, r, _ in paged_programs(config)]
         assert len(realizations) == 120
         for r in realizations:
             assert all(-1.0 <= v <= 1.0 for v in exact_imbalance_curve(r)), r.seed
@@ -293,13 +305,15 @@ class TestExperiment:
                 for w in (1.0, 25.0)}
         assert hs_i[1.0] != hs_i[25.0]
 
-    def test_paging_accounting_over_replay(self):
+    def test_paging_accounting_over_replay(self, per_program_replay):
         config = ExperimentConfig(n_realizations=4, n_steps=3, capacity=16)
         result = run_experiment(config)
-        reports = [rep for *_, rep in paged_programs(config)]
-        assert result.total_loads == sum(len(rep.loaded) for rep in reports)
-        for rep in reports:
-            assert rep.hits + len(rep.loaded) == rep.hits + len(rep.mlst)
+        replay = list(per_program_replay(config))
+        assert result.total_loads == sum(len(rep.loaded) for *_, rep in replay)
+        assert result.total_hits == sum(rep.hits for *_, rep in replay)
+        for _, _, r, k, rep in replay:
+            needed = program_rotation_keys(build_native_circuit(r, k))
+            assert rep.hits + len(rep.loaded) == len(needed)
         summary = result.paging_summary()
         assert summary["capacity"] == 16
         assert summary["total_loads"] >= 10
