@@ -14,7 +14,7 @@ for the full slot duration).  Both reset and the decay are one closed form,
 
 Measurement records either exact probabilities (no collapse, the default for
 the deterministic experiment pipeline) or per-shot sampled bits with collapse.
-Sampling is vectorized over shots when every measurement is terminal.
+Sampling is vectorized over shots (``draw_shots``) when every measurement is terminal.
 
 ``sweep_probabilities`` is the engine behind the disorder sweep.  It takes a
 head, a tail and a sequence of repeated intervals of unitary slots, builds the
@@ -289,6 +289,19 @@ def _measures_are_terminal(program: QuantumProgram) -> bool:
 MAX_SHOTS = 10**6
 
 
+def check_sampling(mode: str, n_avg: int) -> None:
+    """The shot-count, then the measurement-mode rule of a run and a config."""
+    if not 1 <= n_avg <= MAX_SHOTS:
+        raise ValidationError(f"n_avg must lie in 1..{MAX_SHOTS}, got {n_avg}")
+    if mode not in ("exact", "sampled"):
+        raise ValidationError(f"unknown measurement mode {mode!r}")
+
+
+def draw_shots(probs: np.ndarray, n_avg: int, seed: int | None) -> np.ndarray:
+    """``n_avg`` basis indices drawn from ``probs``: ``_run``'s terminal shots and the sweep's."""
+    return np.random.default_rng(seed).choice(len(probs), size=n_avg, p=probs)
+
+
 def run_ideal(program: QuantumProgram, mode: str = "exact", n_avg: int = 1000,
               seed: int | None = None) -> MeasurementRecord:
     """Execute on the state-vector backend starting from |0...0>.
@@ -323,13 +336,10 @@ def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
     ``ground(n_qubits)`` makes a fresh |0...0> state and ``after_slot(state, s)``
     runs after every slot, measurement slots included.  Exact mode and sampled
     mode with only terminal measurements evolve one state; the latter then
-    draws all shots from its basis probabilities.  Any other sampled program
-    is run shot by shot with collapse.
+    draws all shots with ``draw_shots``.  Any other sampled program is run
+    shot by shot with collapse.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValidationError(f"unknown measurement mode {mode!r}")
-    if mode == "sampled" and not 1 <= n_avg <= MAX_SHOTS:
-        raise ValidationError(f"n_avg must lie in 1..{MAX_SHOTS}, got {n_avg}")
+    check_sampling(mode, n_avg)
     if mode == "sampled" and seed is not None and seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if mode == "exact" or _measures_are_terminal(program):
@@ -341,7 +351,7 @@ def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
         probs = state.basis_probabilities()  # raises if normalization was lost
         if mode == "exact":
             return MeasurementRecord(mode="exact", registers=registers)
-        outcomes = np.random.default_rng(seed).choice(len(probs), size=n_avg, p=probs)
+        outcomes = draw_shots(probs, n_avg, seed)
         registers = {m.register: basis_bit(m.qubit, program.n_qubits)[outcomes].tolist()
                      for m in program.instructions() if isinstance(m, Measure)}
     else:

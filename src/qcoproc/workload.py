@@ -252,15 +252,11 @@ class ExperimentConfig:
         if self.n_realizations < 1:
             raise ValidationError("n_realizations must be >= 1")
         _check_evolution(self.tau, self.n_steps)
-        if not 1 <= self.n_avg <= simulator.MAX_SHOTS:
-            raise ValidationError(f"n_avg must lie in 1..{simulator.MAX_SHOTS}, "
-                                  f"got {self.n_avg}")
+        simulator.check_sampling(self.measurement_mode, self.n_avg)
         if self.capacity < 1:
             raise ValidationError("capacity must be >= 1")
         if self.backend not in ("ideal", "noisy"):
             raise ValidationError(f"unknown backend {self.backend!r}")
-        if self.measurement_mode not in ("exact", "sampled"):
-            raise ValidationError(f"unknown measurement mode {self.measurement_mode!r}")
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
@@ -349,8 +345,8 @@ def _imbalance_curves(rs, config: ExperimentConfig,
 
     Row i equals running every ``build_native_circuit(rs[i], k)`` on
     ``run_ideal`` (no ``noise``) or ``run_noisy``: the resets of the |00> start
-    are identities, and sampled mode draws the same shots from the same seeds.
-    Every point of a block is reduced at once.
+    are identities, and sampled mode draws the same shots from the same seeds,
+    by ``simulator.draw_shots``.  Every point of a block is reduced at once.
     """
     per_block = max(1, _BLOCK_POINTS // (config.n_steps + 16))
     bits = np.array([basis_bit(0, 2), basis_bit(1, 2)])
@@ -363,8 +359,7 @@ def _imbalance_curves(rs, config: ExperimentConfig,
             p0, p1 = np.empty((2,) + probs.shape[:2])
             for i, r in enumerate(block):
                 for k, p in enumerate(probs[i]):
-                    rng = np.random.default_rng(derive_seed(r.seed, 0, k))
-                    shots = rng.choice(4, size=config.n_avg, p=p)
+                    shots = simulator.draw_shots(p, config.n_avg, derive_seed(r.seed, 0, k))
                     p0[i, k], p1[i, k] = bits[:, shots].mean(axis=1)
         else:
             p0, p1 = np.moveaxis(np.clip(probs @ bits.T, 0.0, 1.0), -1, 0)

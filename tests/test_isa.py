@@ -231,6 +231,14 @@ class TestSlots:
         with pytest.raises(NonUnitarySlot):
             slot_unitary(slot(Measure(0, "m")), 1)
 
+    @pytest.mark.parametrize("instructions, kind", [
+        ((Rxy(0, RotationKey.make(0, PI)), Measure(1, "m")), "Measure"),
+        ((Measure(1, "m"), Rxy(0, RotationKey.make(0, PI))), "Measure"),
+        ((Reset(0),), "Reset")])
+    def test_a_measure_or_reset_anywhere_in_a_slot_has_no_unitary(self, instructions, kind):
+        with pytest.raises(NonUnitarySlot, match=f"^{kind} has no unitary$"):
+            slot_unitary(slot(*instructions), 2)
+
 
 class TestProgramUnitary:
     def test_empty_range_is_identity(self):

@@ -349,13 +349,18 @@ class TestPinnedSamples:
             record = run_noisy(p, _PIN_NOISE, mode="sampled", n_avg=16, seed=seed)
         assert record.registers == expected
 
-    @pytest.mark.parametrize("n_avg", [0, -1])
-    def test_nonpositive_shot_count_rejected(self, n_avg):
+    @pytest.mark.parametrize("mode, n_avg", [
+        pytest.param("sampled", 0, id="0"), pytest.param("sampled", -1, id="-1"),
+        ("sampled", simulator.MAX_SHOTS + 1),
+        ("exact", 0), ("exact", -1), ("exact", simulator.MAX_SHOTS + 1)])
+    def test_nonpositive_shot_count_rejected(self, mode, n_avg):
+        """A shot count outside 1..MAX_SHOTS fails in either mode, as in a config."""
         p = parse_program(_TERMINAL)
-        with pytest.raises(ValidationError):
-            run_ideal(p, mode="sampled", n_avg=n_avg, seed=1)
-        with pytest.raises(ValidationError):
-            run_noisy(p, _PIN_NOISE, mode="sampled", n_avg=n_avg, seed=1)
+        message = r"^n_avg must lie in 1\.\.1000000, got "
+        with pytest.raises(ValidationError, match=message):
+            run_ideal(p, mode=mode, n_avg=n_avg)
+        with pytest.raises(ValidationError, match=message):
+            run_noisy(p, _PIN_NOISE, mode=mode, n_avg=n_avg)
 
 
 class TestHamiltonian:

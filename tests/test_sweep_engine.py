@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -148,12 +149,18 @@ def test_stacked_slot_maps_equal_per_slot_maps_exactly(case, noise):
         assert M.tobytes() == (decay @ kron(alone, alone.conj())).tobytes()
 
 
+_ONE_RXY = slot(Rxy(0, RotationKey.make(0.0, 1.0)))
+_TWO_RXY = slot(Rxy(0, RotationKey.make(0.0, 1.0)), Rxy(1, RotationKey.make(0.0, 1.0)))
+
+
 @pytest.mark.parametrize("intervals, message", [
     ([(slot(CZ(0, 1)),), (slot(CZ(0, 1)), slot(CZ(0, 1)))],
      r"^intervals must be of one length, got lengths \[1, 2\]$"),
     ([(slot(CZ(0, 1)),), (slot(CZ(1, 0)),)], r"^slots of one stack differ in shape: "),
     ([(slot(Rxy(0, RotationKey.make(0.0, 1.0))),), (slot(Rxy(1, RotationKey.make(0.0, 1.0))),)],
      r"^slots of one stack differ in shape: "),
+    pytest.param([(_ONE_RXY,), (_TWO_RXY,)], "^slots of one stack differ in shape: "
+                 + re.escape(f"{_ONE_RXY} and {_TWO_RXY}") + "$", id="one-and-two-rxy"),
 ])
 @pytest.mark.parametrize("backend", ["ideal", "noisy"])
 def test_engine_rejects_intervals_that_do_not_stack(intervals, message, backend):
@@ -288,6 +295,29 @@ def test_curves_of_several_blocks_equal_per_k_loop_exactly(monkeypatch, backend,
     monkeypatch.setattr(simulator, "sweep_probabilities", counting_sweep)
     curves = workload._imbalance_curves(realizations, config, noise)
     assert blocks == [4, 4, 2]
+    for r, curve in zip(realizations, curves):
+        assert curve.tolist() == _per_k_curve(r, config, noise)
+
+
+@pytest.mark.parametrize("backend", ["ideal", "noisy"])
+def test_sampled_sweep_draws_every_shot_through_the_backends_draw(monkeypatch, backend):
+    """The sweep draws the shots of each (realization, k) point once, through
+    ``simulator.draw_shots``, seeded ``derive_seed(r.seed, 0, k)``, in order."""
+    noise = NoiseParams.octobox_defaults() if backend == "noisy" else None
+    config = ExperimentConfig(n_steps=3, backend=backend, noise=noise,
+                              measurement_mode="sampled", n_avg=16)
+    realizations = _realizations(3, config.n_steps)
+    draw, calls = simulator.draw_shots, []
+
+    def recording_draw(probs, n_avg, seed):
+        calls.append((len(probs), n_avg, seed))
+        return draw(probs, n_avg, seed)
+
+    monkeypatch.setattr(simulator, "draw_shots", recording_draw)
+    curves = workload._imbalance_curves(realizations, config, noise)
+    assert len(calls) == len(realizations) * (config.n_steps + 1)
+    assert calls == [(4, 16, derive_seed(r.seed, 0, k))
+                     for r in realizations for k in range(config.n_steps + 1)]
     for r, curve in zip(realizations, curves):
         assert curve.tolist() == _per_k_curve(r, config, noise)
 

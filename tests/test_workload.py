@@ -369,6 +369,18 @@ class TestExperiment:
         with pytest.raises(ValidationError, match=field):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("mode, n_avg, message", [
+        ("shots", 1000, r"^unknown measurement mode 'shots'$"),
+        ("shots", 0, r"^n_avg must lie in 1\.\.1000000, got 0$"),
+        ("exact", simulator.MAX_SHOTS + 1, r"^n_avg must lie in 1\.\.1000000, got 1000001$")])
+    def test_config_meets_the_runs_sampling_rule(self, mode, n_avg, message):
+        """A config and a run reject the same mode and shot count with the
+        same message, the shot count first."""
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig(measurement_mode=mode, n_avg=n_avg)
+        with pytest.raises(ValidationError, match=message):
+            run_ideal(build_native_circuit(realization(), 1), mode=mode, n_avg=n_avg)
+
     @given(config=st.builds(
         ExperimentConfig,
         w_values=st.lists(st.integers(-100, 100) | st.floats(-1e6, 1e6), min_size=1,
