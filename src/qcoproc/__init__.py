@@ -13,11 +13,11 @@ Modules:
 __version__ = "0.1.0"
 
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  cz_matrix, emit_program, parse_program, program_segment_unitary,
-                  rxy_matrix, slot, slot_unitary)
+                  emit_program, parse_program, program_segment_unitary, rxy_matrix, slot,
+                  slot_unitary)
 
 __all__ = [
     "__version__", "CZ", "Measure", "QuantumProgram", "Reset", "RotationKey",
-    "Rxy", "TimeSlot", "cz_matrix", "emit_program", "parse_program",
+    "Rxy", "TimeSlot", "emit_program", "parse_program",
     "program_segment_unitary", "rxy_matrix", "slot", "slot_unitary",
 ]

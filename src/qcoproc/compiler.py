@@ -60,13 +60,9 @@ class Rz(AxisRotation):
 
 
 @dataclass(frozen=True)
-class CNOT:
+class CNOT(isa.TwoQubit):
     target: int
     control: int
-
-    def __post_init__(self):
-        if self.target == self.control:
-            raise ValidationError(f"cnot operands must differ, got q{self.target} twice")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -74,14 +70,10 @@ class CNOT:
 
 
 @dataclass(frozen=True)
-class CRx:
+class CRx(isa.TwoQubit):
     angle: float
     rotated: int
     conditioning: int
-
-    def __post_init__(self):
-        if self.rotated == self.conditioning:
-            raise ValidationError(f"crx operands must differ, got q{self.rotated} twice")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -172,19 +164,14 @@ def _map_slots(slots, gate_map) -> list[TimeSlot]:
     one interval's slots, and this function and :func:`schedule` reuse
     their output for a repeated input.
     """
-    mapped: dict[int, list[TimeSlot]] = {}
-    out: list[TimeSlot] = []
-    for s in slots:
-        new = mapped.get(id(s))
-        if new is None:
-            seqs = [gate_map(g) for g in s.instructions]
-            if all(len(seq) == 1 for seq in seqs):
-                new = [TimeSlot(tuple(seq[0] for seq in seqs))]
-            else:
-                new = [TimeSlot((g,)) for seq in seqs for g in seq]
-            mapped[id(s)] = new
-        out.extend(new)
-    return out
+    def map_slot(s: TimeSlot) -> list[TimeSlot]:
+        seqs = [gate_map(g) for g in s.instructions]
+        if all(len(seq) == 1 for seq in seqs):
+            return [TimeSlot(tuple(seq[0] for seq in seqs))]
+        return [TimeSlot((g,)) for seq in seqs for g in seq]
+
+    mapped = {id(s): map_slot(s) for s in isa.distinct_slots(slots)}
+    return [new for s in slots for new in mapped[id(s)]]
 
 
 def lower(source: SourceProgram | QuantumProgram) -> QuantumProgram:

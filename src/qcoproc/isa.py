@@ -106,16 +106,24 @@ class Rxy(OneQubit):
     key: RotationKey
 
 
+class TwoQubit:
+    """The operand rule of a two-qubit instruction: its two ``qubits`` differ.
+    Each kind declares its own fields and ``qubits``; the message names the
+    kind by its class name in lower case."""
+
+    def __post_init__(self):
+        a, b = self.qubits
+        if a == b:
+            raise ValidationError(f"{type(self).__name__.lower()} operands must differ, "
+                                  f"got q{a} twice")
+
+
 @dataclass(frozen=True)
-class CZ:
+class CZ(TwoQubit):
     """Symmetric controlled-Z; operand order is preserved for display only."""
 
     qa: int
     qb: int
-
-    def __post_init__(self):
-        if self.qa == self.qb:
-            raise ValidationError(f"cz operands must differ, got q{self.qa} twice")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -143,7 +151,7 @@ class TimeSlot:
 
     def __post_init__(self):
         if len(self.instructions) < 2:
-            return  # the two-operand gates (cz, cnot, crx) reject a repeated qubit
+            return  # ``TwoQubit`` rejects a qubit repeated within one instruction
         seen: set[int] = set()
         for instr in self.instructions:
             for q in instr.qubits:
@@ -227,11 +235,6 @@ def rxy_matrices(keys) -> np.ndarray:
 def rxy_matrix(key: RotationKey) -> np.ndarray:
     """2x2 unitary of a gamma rotation about the xy-plane axis at azimuth phi."""
     return rxy_matrices((key,))[0]
-
-
-def cz_matrix() -> np.ndarray:
-    """diag(1, 1, 1, -1) in the |00>,|01>,|10>,|11> basis."""
-    return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -411,7 +414,10 @@ def parse_slots(text: str, statement_parser=_parse_statement) -> tuple[int, tupl
             continue
         s = parsed.get(stripped)
         if s is None:
-            s = _parse_line(stripped, lineno, statement_parser)
+            try:
+                s = _parse_line(stripped, lineno, statement_parser)
+            except ValidationError as exc:  # a rule of the line's instructions or slot
+                raise ValidationError(f"line {lineno}: {exc}") from exc
             for instr in s.instructions:
                 max_q = max(max_q, *instr.qubits)
             if max_q >= MAX_QUBITS:
@@ -430,10 +436,7 @@ def _parse_line(stripped: str, lineno: int, statement_parser) -> TimeSlot:
         raise ParseError("parallel slot must close on the same line", lineno)
     body = stripped[1:-1].strip()
     stmts = [s for s in (p.strip() for p in body.split("|")) if s] if body else []
-    try:
-        return TimeSlot(tuple(statement_parser(s, lineno) for s in stmts))
-    except ValidationError as exc:
-        raise ValidationError(f"line {lineno}: {exc}") from exc
+    return TimeSlot(tuple(statement_parser(s, lineno) for s in stmts))
 
 
 def parse_program(text: str) -> QuantumProgram:

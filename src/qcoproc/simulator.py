@@ -2,11 +2,12 @@
 exact-evolution oracle.
 
 Both backends run through one slot loop, ``_run``, which owns the exact,
-terminal-sampled and per-shot branches and the measurement RNG.  What differs
-per representation lives on the state classes: ``evolve``, ``project``,
-``reset`` and ``basis_probabilities``.  The ideal backend evolves a
-``StateVector``, where reset is a projection onto |0>.  The noisy backend
-evolves a ``DensityMatrix``, where reset traces the qubit out, and its
+terminal-sampled and per-shot branches and the measurement RNG.  The two
+states share their readout and collapse, ``State``'s ``prob_one``, ``project``
+and ``basis_probabilities``; what differs per representation is ``evolve``,
+``reset``, the basis populations and the masked collapse.  The ideal backend
+evolves a ``StateVector``, where reset is a projection onto |0>.  The noisy
+backend evolves a ``DensityMatrix``, where reset traces the qubit out, and its
 after-slot hook applies per-qubit T1/T2 decay for the slot's duration
 (single-qubit 20 ns, cZ 40 ns by default; qubits idling during a slot decohere
 for the full slot duration).  Both reset and the decay are one closed form,
@@ -77,17 +78,40 @@ def as_floats(name: str, values) -> tuple:
         raise ValidationError(f"{name} must be a list of numbers, got {values!r}") from None
 
 
-def _clipped_prob_one(p: float, qubit: int) -> float:
-    """``p`` clipped to [0, 1]; ``min``/``max`` would turn NaN into a bound."""
-    if math.isnan(p):
-        raise ValidationError(f"P(|1>) of q{qubit} is nan")
-    return min(1.0, max(0.0, p))
+class State:
+    """Readout and collapse, written once for both states over two hooks:
+    ``_populations()``, the unnormalized basis populations, and
+    ``_collapse(keep, prob)``, the collapse onto the basis states ``keep``
+    whose populations sum to ``prob``."""
+
+    n_qubits: int
+
+    def prob_one(self, qubit: int) -> float:
+        """P(|1>) of ``qubit``, clipped to [0, 1] against rounding; ``min``/``max``
+        would turn NaN into a bound, so NaN raises first."""
+        p = float(np.sum(self._populations()[basis_bit(qubit, self.n_qubits) == 1]))
+        if math.isnan(p):
+            raise ValidationError(f"P(|1>) of q{qubit} is nan")
+        return min(1.0, max(0.0, p))
+
+    def project(self, qubit: int, outcome: int, what: str = "measurement") -> None:
+        """Collapse onto ``outcome`` of ``qubit``; an impossible outcome raises."""
+        keep = basis_bit(qubit, self.n_qubits) == outcome
+        prob = float(np.sum(self._populations()[keep]))
+        if not prob >= 1e-12:  # NaN fails
+            raise ValidationError(f"{what} outcome {outcome} on q{qubit} has "
+                                  f"probability {prob:.3e}")
+        self._collapse(keep, prob)
+
+    def basis_probabilities(self) -> np.ndarray:
+        return _checked_probabilities(self._populations(), self._norm)
 
 
 @dataclass
-class StateVector:
+class StateVector(State):
     n_qubits: int
     amplitudes: np.ndarray
+    _norm = "state norm"
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -102,36 +126,26 @@ class StateVector:
         amps[0] = 1.0
         return StateVector(n_qubits, amps)
 
-    def prob_one(self, qubit: int) -> float:
-        """P(|1>) of ``qubit``, clipped to [0, 1] against rounding."""
-        mask = basis_bit(qubit, self.n_qubits) == 1
-        return _clipped_prob_one(float(np.sum(np.abs(self.amplitudes[mask]) ** 2)), qubit)
+    def _populations(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
+
+    def _collapse(self, keep: np.ndarray, prob: float) -> None:
+        # a product, not a mask: NaN in the discarded half survives to the next check
+        self.amplitudes = self.amplitudes * keep / math.sqrt(prob)
 
     def evolve(self, U: np.ndarray) -> None:
         self.amplitudes = U @ self.amplitudes
-
-    def project(self, qubit: int, outcome: int, what: str = "measurement") -> None:
-        """Collapse onto ``outcome`` of ``qubit``; an impossible outcome raises."""
-        keep = basis_bit(qubit, self.n_qubits) == outcome
-        prob = float(np.sum(np.abs(self.amplitudes[keep]) ** 2))
-        if not prob >= 1e-12:  # NaN fails
-            raise ValidationError(f"{what} outcome {outcome} on q{qubit} has "
-                                  f"probability {prob:.3e}")
-        # a product, not a mask: NaN in the discarded half survives to the next check
-        self.amplitudes = self.amplitudes * keep / math.sqrt(prob)
 
     def reset(self, qubit: int) -> None:
         """A pure state has no channel to re-prepare |0>: reset projects onto it."""
         self.project(qubit, 0, what="reset")
 
-    def basis_probabilities(self) -> np.ndarray:
-        return _checked_probabilities(np.abs(self.amplitudes) ** 2, "state norm")
-
 
 @dataclass
-class DensityMatrix:
+class DensityMatrix(State):
     n_qubits: int
     entries: np.ndarray
+    _norm = "density matrix trace"
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -155,31 +169,19 @@ class DensityMatrix:
         if not np.min(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)) >= -1e-9:
             raise ValidationError("density matrix has a significantly negative eigenvalue")
 
-    def prob_one(self, qubit: int) -> float:
-        """P(|1>) of ``qubit``, clipped to [0, 1] against rounding."""
-        diag = np.real(np.diag(self.entries))
-        return _clipped_prob_one(float(np.sum(diag[basis_bit(qubit, self.n_qubits) == 1])),
-                                 qubit)
+    def _populations(self) -> np.ndarray:
+        return np.real(np.diag(self.entries))
+
+    def _collapse(self, keep: np.ndarray, prob: float) -> None:
+        # a product, not a mask: NaN in the discarded part survives to the next check
+        self.entries = self.entries * np.outer(keep, keep) / prob
 
     def evolve(self, U: np.ndarray) -> None:
         self.entries = U @ self.entries @ U.conj().T
 
-    def project(self, qubit: int, outcome: int) -> None:
-        """Collapse onto ``outcome`` of ``qubit``; an impossible outcome raises."""
-        keep = basis_bit(qubit, self.n_qubits) == outcome
-        projected = self.entries * np.outer(keep, keep)
-        prob = float(np.trace(projected).real)
-        if not prob >= 1e-12:  # NaN fails
-            raise ValidationError(f"measurement outcome {outcome} on q{qubit} has "
-                                  f"probability {prob:.3e}")
-        self.entries = projected / prob
-
     def reset(self, qubit: int) -> None:
         """Trace the qubit out and re-prepare it in |0>."""
         self.entries = _decay(self.entries, qubit, self.n_qubits, p=1.0, coherence=0.0)
-
-    def basis_probabilities(self) -> np.ndarray:
-        return _checked_probabilities(np.real(np.diag(self.entries)), "density matrix trace")
 
 
 @dataclass(frozen=True)
@@ -342,13 +344,18 @@ def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
     check_sampling(mode, n_avg)
     if mode == "sampled" and seed is not None and seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    if mode == "exact" or _measures_are_terminal(program):
+
+    def run_slots(registers: dict, collapse_rng=None):
+        """The slots once, from |0...0>; returns the final state."""
         state = ground(program.n_qubits)
-        registers: dict = {}
         for s in program.slots:
-            _apply_slot(state, s, registers)
+            _apply_slot(state, s, registers, collapse_rng)
             after_slot(state, s)
-        probs = state.basis_probabilities()  # raises if normalization was lost
+        return state
+
+    registers: dict = {}
+    if mode == "exact" or _measures_are_terminal(program):
+        probs = run_slots(registers).basis_probabilities()  # raises if normalization was lost
         if mode == "exact":
             return MeasurementRecord(mode="exact", registers=registers)
         outcomes = draw_shots(probs, n_avg, seed)
@@ -356,16 +363,12 @@ def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
                      for m in program.instructions() if isinstance(m, Measure)}
     else:
         rng = np.random.default_rng(seed)
-        registers = {}
         for _ in range(n_avg):
-            state = ground(program.n_qubits)
-            for s in program.slots:
-                _apply_slot(state, s, registers, collapse_rng=rng)
-                after_slot(state, s)
+            run_slots(registers, rng)
     return MeasurementRecord(mode="sampled", registers=registers, n_avg=n_avg)
 
 
-def _apply_slot(state: StateVector | DensityMatrix, s: TimeSlot, registers: dict,
+def _apply_slot(state: State, s: TimeSlot, registers: dict,
                 collapse_rng=None) -> None:
     """Apply one slot.  Without ``collapse_rng`` a measurement records P(|1>);
     with it, a measurement draws one bit, collapses, and appends the bit."""

@@ -473,7 +473,8 @@ def exact_imbalance_curve(r: DisorderRealization) -> list[float]:
     """Imbalance under the exact (non-Trotterized) evolution, via the
     eigendecomposition oracle; reference curve for convergence studies."""
     H = hamiltonian_matrix(r.w, r.h0x, r.h0y, r.h1x, r.h1y)
-    initial = StateVector(2, np.array([0, 1, 0, 0], dtype=complex))  # q0=|1>, q1=|0>
+    # q0 = |1>, q1 = |0>: the one basis state with bit 0 set and bit 1 clear
+    initial = StateVector(2, (basis_bit(0, 2) > basis_bit(1, 2)).astype(complex))
     curve = []
     for k in range(r.n_steps + 1):
         state = simulator.exact_evolution(H, k * r.tau, initial)

@@ -431,6 +431,28 @@ class TestInstructionShapes:
         assert str(err.value) == message
 
 
+    @pytest.mark.parametrize("make, text", [
+        (lambda: CZ(2, 2), "cz operands must differ, got q2 twice"),
+        (lambda: CNOT(0, 0), "cnot operands must differ, got q0 twice"),
+        (lambda: CRx(1.0, 1, 1), "crx operands must differ, got q1 twice"),
+    ], ids=["cz", "cnot", "crx"])
+    def test_two_qubit_operands_must_differ(self, make, text):
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_program, "rxy q0, 0, 1\ncz q1, q1\n"),
+        (parse_program, "rxy q0, 0, 1\n{ cz q1, q1 }\n"),
+        (parse_source_program, "rx q0, 0.5\ncnot q0, q0\n"),
+        (parse_source_program, "rx q0, 0.5\n{ cnot q0, q0 }\n"),
+    ], ids=["native-bare", "native-braced", "source-bare", "source-braced"])
+    def test_a_validation_error_names_its_line(self, parse, text):
+        """A bare statement's rule names its line, as one inside { ... } does."""
+        with pytest.raises(ValidationError, match="^line 2: .* operands must differ"):
+            parse(text)
+
+
 class TestSourceAssembly:
     def test_extended_mnemonics(self):
         src = parse_source_program("cnot q1, q0\ncrx q0, q1, 0.16\nrz q1, 0.08\n"

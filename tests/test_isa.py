@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qcoproc.errors import NonUnitarySlot, ParseError, ValidationError
 from qcoproc.isa import (CZ, MAX_QUBITS, Measure, QuantumProgram, Reset, RotationKey,
-                         Rxy, TimeSlot, cz_matrix, embed, emit_program, kron,
+                         Rxy, TimeSlot, embed, emit_program, kron,
                          parse_program, program_segment_unitary, rxy_matrix, slot,
                          slot_unitary)
 
@@ -149,21 +149,31 @@ class TestRxyMatrix:
 
 
 class TestCZMatrix:
+    """The cZ unitary that the backends run, in either operand order."""
+
+    @staticmethod
+    def unitaries():
+        return [slot_unitary(slot(CZ(0, 1)), 2), slot_unitary(slot(CZ(1, 0)), 2)]
+
     def test_diagonal(self):
-        np.testing.assert_allclose(cz_matrix(), np.diag([1, 1, 1, -1]), atol=0)
+        for U in self.unitaries():
+            np.testing.assert_allclose(U, np.diag([1, 1, 1, -1]), atol=0)
 
     def test_control_zero_unchanged(self):
         state = np.array([1, 0, 0, 0], dtype=complex)
-        np.testing.assert_allclose(cz_matrix() @ state, state)
+        for U in self.unitaries():
+            np.testing.assert_allclose(U @ state, state)
 
     def test_both_ones_flips_sign(self):
         state = np.array([0, 0, 0, 1], dtype=complex)
-        np.testing.assert_allclose(cz_matrix() @ state, -state)
+        for U in self.unitaries():
+            np.testing.assert_allclose(U @ state, -state)
 
     def test_swap_invariance(self):
         swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                         dtype=complex)
-        np.testing.assert_allclose(swap @ cz_matrix() @ swap, cz_matrix())
+        for U in self.unitaries():
+            np.testing.assert_allclose(swap @ U @ swap, U)
 
 
 _part = st.floats(-2.0, 2.0, allow_nan=False)

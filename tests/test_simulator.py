@@ -525,6 +525,40 @@ class TestNaNFailsNormChecks:
         assert type(err.value) is QcoprocError
 
 
+_parts = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _pure_states(draw):
+    """A normalized state of 1 to 3 qubits."""
+    n = draw(st.integers(1, 3))
+    values = draw(st.lists(st.builds(complex, _parts, _parts),
+                           min_size=1 << n, max_size=1 << n))
+    psi = np.array(values, dtype=complex)
+    norm = np.linalg.norm(psi)
+    if not norm > 1e-3:
+        psi, norm = np.eye(1 << n, 1, dtype=complex)[:, 0], 1.0
+    return n, psi / norm
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pure_states(), st.data())
+def test_both_states_read_and_collapse_a_pure_state_alike(state, data):
+    """StateVector(psi) and DensityMatrix(psi psi^dagger) share their readout
+    and collapse, so they agree on P(|1>) and on the collapsed state."""
+    n, psi = state
+    q = data.draw(st.integers(0, n - 1))
+    sv, rho = StateVector(n, psi), DensityMatrix(n, np.outer(psi, psi.conj()))
+    assert abs(sv.prob_one(q) - rho.prob_one(q)) <= 1e-12
+    outcome = data.draw(st.integers(0, 1))
+    if (sv.prob_one(q) if outcome else 1.0 - sv.prob_one(q)) < 1e-6:
+        return
+    sv.project(q, outcome)
+    rho.project(q, outcome)
+    projected = np.outer(sv.amplitudes, sv.amplitudes.conj())
+    assert np.max(np.abs(rho.entries - projected)) <= 1e-12
+
+
 class TestMeasurementRecord:
     def test_exact_json(self):
         body = MeasurementRecord(mode="exact", registers={"m": 0.25}).to_json_dict()
