@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, compiler, isa, simulator, workload
 from .errors import (CapacityExceeded, GoldenMismatch, NonUnitarySlot, ParseError,
-                     QcoprocError, ValidationError)
+                     QcoprocError, ValidationError, check_range)
 
 EXIT_CODES = (
     (ParseError, 2),
@@ -51,8 +51,7 @@ def config_hash(config: workload.ExperimentConfig) -> str:
 def _realization_from_args(args) -> workload.DisorderRealization:
     tau = args.tau_over_pi * math.pi
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        check_range("--seed", args.seed, 0)
         rng = np.random.default_rng(args.seed)
         r = workload.sample_disorder(args.w, tau, args.n_steps, rng, seed=args.seed)
     else:

@@ -7,7 +7,8 @@ for the rest):
   cannot handle, or a non-Hermitian Hamiltonian;
 * ``ParseError`` (exit 2): text that does not conform to its grammar;
 * ``ValidationError`` (exit 3): a program, configuration or argument that
-  violates a rule;
+  violates a rule; :func:`check_range` is the one bound rule of every
+  integer setting;
 * ``NonUnitarySlot`` (exit 1): a unitary was asked of measure/reset, which
   ``qcoproc compile`` catches to skip its equivalence check;
 * ``CapacityExceeded`` (exit 4): the codeword table is too small;
@@ -31,6 +32,13 @@ class ParseError(QcoprocError):
 
 class ValidationError(QcoprocError):
     """A program or configuration violates a structural invariant."""
+
+
+def check_range(name: str, value, lo: int, hi: int | None = None) -> None:
+    """The bound rule of an integer setting: ``lo <= value``, and ``value <= hi`` given ``hi``."""
+    if not (lo <= value and (hi is None or value <= hi)):  # written so that NaN fails
+        bound = f"be >= {lo}" if hi is None else f"lie in {lo}..{hi}"
+        raise ValidationError(f"{name} must {bound}, got {value}")
 
 
 class NonUnitarySlot(QcoprocError):

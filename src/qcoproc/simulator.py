@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QcoprocError, ValidationError
+from .errors import QcoprocError, ValidationError, check_range
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
                   basis_bit, embed, kron, ordered_product, rxy_matrix, slot_unitaries,
                   slot_unitary)
@@ -293,8 +293,7 @@ MAX_SHOTS = 10**6
 
 def check_sampling(mode: str, n_avg: int) -> None:
     """The shot-count, then the measurement-mode rule of a run and a config."""
-    if not 1 <= n_avg <= MAX_SHOTS:
-        raise ValidationError(f"n_avg must lie in 1..{MAX_SHOTS}, got {n_avg}")
+    check_range("n_avg", n_avg, 1, MAX_SHOTS)
     if mode not in ("exact", "sampled"):
         raise ValidationError(f"unknown measurement mode {mode!r}")
 
@@ -342,8 +341,8 @@ def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
     shot by shot with collapse.
     """
     check_sampling(mode, n_avg)
-    if mode == "sampled" and seed is not None and seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if mode == "sampled" and seed is not None:
+        check_range("seed", seed, 0)
 
     def run_slots(registers: dict, collapse_rng=None):
         """The slots once, from |0...0>; returns the final state."""
@@ -588,10 +587,7 @@ MAX_TRAJECTORY_STEPS = 10**5
 
 def rotation_trajectory(key: RotationKey, n_steps: int = 20) -> list[BlochVector]:
     """Bloch angles of Rxy(phi, gamma*s/n)|0> for s = 0..n_steps."""
-    if n_steps < 1:
-        raise ValidationError("n_steps must be >= 1")
-    if n_steps > MAX_TRAJECTORY_STEPS:
-        raise ValidationError(f"n_steps must be <= {MAX_TRAJECTORY_STEPS}, got {n_steps}")
+    check_range("n_steps", n_steps, 1, MAX_TRAJECTORY_STEPS)
     ground = np.array([1.0, 0.0], dtype=complex)
     points = []
     for s in range(n_steps + 1):

@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import CapacityExceeded, ValidationError
+from .errors import CapacityExceeded, check_range
 from .isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy
 
 # Each non-rotation instruction's codeword, as an offset past the rotation space.
@@ -86,8 +86,7 @@ class RCT:
     load_counter: int = 0
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValidationError("capacity must be positive")
+        check_range("capacity", self.capacity, 1)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import simulator, wavemem
 from .compiler import CNOT, CRx, Rx, Rz, SourceProgram
-from .errors import CapacityExceeded, QcoprocError, ValidationError
+from .errors import CapacityExceeded, QcoprocError, ValidationError, check_range
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
                   basis_bit, embed, program_segment_unitary, rxy_matrix, slot)
 from .simulator import NoiseParams, StateVector, hamiltonian_matrix
@@ -45,8 +45,7 @@ def _check_evolution(tau: float, n_steps: int) -> None:
     """The tau and n_steps rules of a realization and of a config, in that order."""
     if not (math.isfinite(tau) and tau > 0):  # written so that NaN fails
         raise ValidationError(f"tau must be positive and finite, got {tau}")
-    if not 0 <= n_steps <= MAX_STEPS:
-        raise ValidationError(f"n_steps must lie in 0..{MAX_STEPS}, got {n_steps}")
+    check_range("n_steps", n_steps, 0, MAX_STEPS)
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,6 @@ def sample_disorder(w: float, tau: float, n_steps: int,
                                seed=seed)
 
 
-def _check_step(r: DisorderRealization, k: int) -> None:
-    if not 0 <= k <= r.n_steps:
-        raise ValidationError(f"k = {k} outside 0..{r.n_steps}")
-
-
 # The fixed slots of every circuit: the resets and the parallel measurement
 # (source and native), and the native prologue that rotates the prepared state
 # into the working frame and the epilogue that rotates back.
@@ -110,7 +104,7 @@ def build_source_circuit(r: DisorderRealization, k: int) -> SourceProgram:
     rz(2*tau) on q1 one interval realizes the exchange coupling exactly, and
     the remaining single-qubit rotations the disorder fields.
     """
-    _check_step(r, k)
+    check_range("k", k, 0, r.n_steps)
     w, tau = r.w, r.tau
     interval = (
         slot(CNOT(1, 0)),
@@ -160,7 +154,7 @@ def build_native_circuit(r: DisorderRealization, k: int) -> QuantumProgram:
     Prologue rotates the prepared state into the working frame, every interval
     is 10 Rxy + 4 cZ, the epilogue rotates back before parallel measurement.
     """
-    _check_step(r, k)
+    check_range("k", k, 0, r.n_steps)
     interval = _interval_slots(r) if k else ()
     slots = _RESETS + (_PROLOGUE,) + interval * k + (_EPILOGUE, _MEASURE)
     return QuantumProgram(n_qubits=2, slots=slots)
@@ -247,14 +241,11 @@ class ExperimentConfig:
             raise ValidationError(f"w_values must be finite, got {list(self.w_values)}")
         if len(set(self.w_values)) != len(self.w_values):  # 0.0 and -0.0 are one key
             raise ValidationError(f"w_values must not repeat, got {list(self.w_values)}")
-        if self.master_seed < 0:
-            raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.n_realizations < 1:
-            raise ValidationError("n_realizations must be >= 1")
+        check_range("master_seed", self.master_seed, 0)
+        check_range("n_realizations", self.n_realizations, 1)
         _check_evolution(self.tau, self.n_steps)
         simulator.check_sampling(self.measurement_mode, self.n_avg)
-        if self.capacity < 1:
-            raise ValidationError("capacity must be >= 1")
+        check_range("capacity", self.capacity, 1)
         if self.backend not in ("ideal", "noisy"):
             raise ValidationError(f"unknown backend {self.backend!r}")
 

@@ -373,6 +373,8 @@ INVALID_INPUTS = {
     "n-avg-0-sampled": (lambda t: ["experiment", "--config", small_config(
         t, measurement_mode="sampled", n_avg=0)], 3),
     "n-steps-negative": (lambda t: ["experiment", "--config", small_config(t, n_steps=-1)], 3),
+    "n-realizations-0": (lambda t: ["experiment", "--config",
+                                    small_config(t, n_realizations=0)], 3),
     # a step count past the cap is rejected before any work is done
     "n-steps-1e17": (lambda t: ["experiment", "--config", small_config(
         t, w_values=[1.0], n_realizations=1, n_steps=10**17)], 3),
@@ -482,6 +484,8 @@ INVALID_INPUTS = {
                                               simulator.MAX_TRAJECTORY_STEPS + 1], 3),
     "trajectory-steps-1e20": (lambda t: ["trajectory", "--phi-over-pi", "0",
                                          "--gamma-over-pi", "1", "--steps", 10**20], 3),
+    "trajectory-steps-0": (lambda t: ["trajectory", "--phi-over-pi", "0",
+                                      "--gamma-over-pi", "1", "--steps", "0"], 3),
     # a repeated w would key two sweeps into one series
     "w-values-repeated": (lambda t: ["experiment", "--config",
                                      small_config(t, w_values=[1.0, 25.0, 1.0])], 3),

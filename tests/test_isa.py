@@ -246,8 +246,23 @@ class TestSlots:
         ((Measure(1, "m"), Rxy(0, RotationKey.make(0, PI))), "Measure"),
         ((Reset(0),), "Reset")])
     def test_a_measure_or_reset_anywhere_in_a_slot_has_no_unitary(self, instructions, kind):
+        s = slot(*instructions)
+        assert not s.is_unitary()
         with pytest.raises(NonUnitarySlot, match=f"^{kind} has no unitary$"):
-            slot_unitary(slot(*instructions), 2)
+            slot_unitary(s, 2)
+
+    @pytest.mark.parametrize("instructions", [
+        (Rxy(1, RotationKey.make(0.3, 0.7)),),
+        (Rxy(0, RotationKey.make(0, PI)), Rxy(1, RotationKey.make(0.5, -0.2))),
+        (CZ(1, 0),),
+        ()], ids=["one-rxy", "two-rxy", "cz", "empty"])
+    def test_a_slot_of_rxy_and_cz_only_has_a_unitary(self, instructions):
+        """``TimeSlot.is_unitary`` and ``slot_unitary``'s rule agree on both sides."""
+        s = slot(*instructions)
+        assert s.is_unitary()
+        U = slot_unitary(s, 2)
+        assert U.shape == (4, 4)
+        np.testing.assert_allclose(U.conj().T @ U, np.eye(4), atol=1e-14)
 
 
 class TestProgramUnitary:

@@ -253,7 +253,7 @@ class TestPageUpdate:
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_non_positive_capacity_is_a_validation_error(self, capacity):
         """A toolkit class, as every raise in the package is (tests/test_errors.py)."""
-        with pytest.raises(ValidationError, match="^capacity must be positive$"):
+        with pytest.raises(ValidationError, match=f"^capacity must be >= 1, got {capacity}$"):
             RCT(capacity=capacity)
 
     def test_second_realization_loads_only_new_disorder(self):

@@ -8,13 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoproc import compiler, simulator, workload
 from qcoproc.compiler import frame_rotate_z_to_y, lower, schedule
 from qcoproc.errors import QcoprocError, ValidationError
-from qcoproc.isa import Measure, RotationKey, Rxy
+from qcoproc.isa import Measure, RotationKey, Rxy, embed
 from qcoproc.simulator import evolution_operator, hamiltonian_matrix, run_ideal
 from qcoproc.wavemem import program_rotation_keys
 from qcoproc.workload import (DEFAULT_TAU, DisorderRealization, ExperimentConfig,
@@ -102,7 +102,7 @@ class TestSourceCircuit:
             assert cnots == 2 * k
 
     def test_step_out_of_range(self):
-        with pytest.raises(ValidationError, match="^k = 6 outside 0..5$"):
+        with pytest.raises(ValidationError, match=r"^k must lie in 0\.\.5, got 6$"):
             build_source_circuit(realization(n_steps=5), 6)
 
 
@@ -158,7 +158,29 @@ class TestPipelineEquivalence:
                 assert abs(pc["q1mZ"] - pn["q1mZ"]) < 1e-9
 
 
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]])
+_Z = np.diag([1.0, -1.0]).astype(complex)
+_EXCHANGE = embed({0: _X, 1: _X}, 2) + embed({0: _Y, 1: _Y}, 2) + embed({0: _Z, 1: _Z}, 2)
+
+
 class TestTrotterInterval:
+    @given(st.floats(0.0, 30.0), st.floats(1e-3, 0.5),
+           st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    @settings(deadline=None)
+    def test_interval_is_exactly_its_product_formula(self, w, tau, fields):
+        """In time order: the q0 z field, the exchange, the q1 z field, both x fields.
+
+        A residue of the angles' 1e-12 grid remains: at most 1.6e-12 over
+        20 000 draws that included w = 30, tau = 0.5 and fields of +-1."""
+        h0x, h0y, h1x, h1y = fields
+        r = DisorderRealization(w=w, tau=tau, n_steps=1, h0x=h0x, h0y=h0y, h1x=h1x, h1y=h1y)
+        z0, z1 = w * h0y * embed({0: _Z}, 2), w * h1y * embed({1: _Z}, 2)
+        x = w * (h0x * embed({0: _X}, 2) + h1x * embed({1: _X}, 2))
+        product = np.linalg.multi_dot([evolution_operator(H, tau) for H in (x, z1, _EXCHANGE, z0)])
+        report = compiler.equivalence_check(trotter_interval_unitary(r), product)
+        assert report.phase_invariant_distance <= 1e-11
+
     def test_identity_at_zero_disorder_angles(self):
         r = DisorderRealization(w=0.0, tau=1e-9, n_steps=1,
                                 h0x=0.4, h0y=0.3, h1x=0.2, h1y=0.1)
