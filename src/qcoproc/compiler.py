@@ -331,26 +331,24 @@ def run_passes(program, passes) -> SourceProgram | QuantumProgram:
     return program
 
 
-def _parse_source_statement(text: str, line: int):
-    parts = text.strip().split(None, 1)
-    mnemonic, rest = parts[0], (parts[1] if len(parts) > 1 else "")
-    ops = [o.strip() for o in rest.split(",")] if rest else []
+def _parse_source_statement(mnemonic: str, operands: str):
+    ops = operands.split(",")
     qubit, angle = isa._parse_qubit, isa._parse_angle
 
     if mnemonic in ("rx", "ry", "rz"):
         if len(ops) != 2:
-            raise ParseError(f"{mnemonic} takes qubit, angle", line)
+            raise ParseError(f"{mnemonic} takes qubit, angle")
         cls = {"rx": Rx, "ry": Ry, "rz": Rz}[mnemonic]
-        return cls(qubit(ops[0], line), angle(ops[1], line) * math.pi)
+        return cls(qubit(ops[0]), angle(ops[1]) * math.pi)
     if mnemonic == "cnot":
         if len(ops) != 2:
-            raise ParseError("cnot takes target, control", line)
-        return CNOT(qubit(ops[0], line), qubit(ops[1], line))
+            raise ParseError("cnot takes target, control")
+        return CNOT(qubit(ops[0]), qubit(ops[1]))
     if mnemonic == "crx":
         if len(ops) != 3:
-            raise ParseError("crx takes rotated, conditioning, angle", line)
-        return CRx(angle(ops[2], line) * math.pi, qubit(ops[0], line), qubit(ops[1], line))
-    return isa._parse_statement(text, line)
+            raise ParseError("crx takes rotated, conditioning, angle")
+        return CRx(angle(ops[2]) * math.pi, qubit(ops[0]), qubit(ops[1]))
+    return isa._parse_statement(mnemonic, operands)
 
 
 def parse_source_program(text: str) -> SourceProgram:

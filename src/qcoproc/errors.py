@@ -5,7 +5,8 @@ for the rest):
 
 * ``QcoprocError`` (exit 1): any other error, e.g. a gate a compiler pass
   cannot handle, or a non-Hermitian Hamiltonian;
-* ``ParseError`` (exit 2): text that does not conform to its grammar;
+* ``ParseError`` (exit 2): text that does not conform to its grammar; in
+  program text it names its line, as a ``ValidationError`` there does;
 * ``ValidationError`` (exit 3): a program, configuration or argument that
   violates a rule; :func:`check_range` is the one bound rule of every
   integer setting;
@@ -21,13 +22,8 @@ class QcoprocError(Exception):
 
 
 class ParseError(QcoprocError):
-    """Assembly text does not conform to the grammar."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """Text does not conform to its grammar; ``isa.parse_slots`` puts the
+    ``line N: `` of assembly text in front of the message."""
 
 
 class ValidationError(QcoprocError):

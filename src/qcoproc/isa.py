@@ -345,14 +345,14 @@ def program_segment_unitary(program: QuantumProgram) -> np.ndarray:
 MAX_QUBITS = 8
 
 
-def _parse_qubit(tok: str, line: int) -> int:
+def _parse_qubit(tok: str) -> int:
     tok = tok.strip()
     if not tok.startswith("q") or not (tok[1:].isascii() and tok[1:].isdigit()):
-        raise ParseError(f"expected qubit operand, got {tok!r}", line)
+        raise ParseError(f"expected qubit operand, got {tok!r}")
     return int(tok[1:])
 
 
-def _parse_angle(tok: str, line: int) -> float:
+def _parse_angle(tok: str) -> float:
     """An angle in units of pi whose value in radians is finite: 1e308 parses
     as a float but overflows to inf once multiplied by pi."""
     try:
@@ -361,49 +361,46 @@ def _parse_angle(tok: str, line: int) -> float:
         angle = math.nan  # reported below, as inf and nan are
     if not math.isfinite(angle * math.pi):
         raise ParseError("expected an angle in units of pi that is finite in radians, "
-                         f"got {tok.strip()!r}", line)
+                         f"got {tok.strip()!r}")
     return angle
 
 
-def _parse_statement(text: str, line: int):
-    text = text.strip()
-    parts = text.split(None, 1)
-    if not parts:
-        raise ParseError("empty statement", line)
-    mnemonic, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+def _parse_statement(mnemonic: str, operands: str):
     if mnemonic == "rxy":
-        ops = rest.split(",")
+        ops = operands.split(",")
         if len(ops) != 3:
-            raise ParseError("rxy takes qubit, phi, gamma", line)
-        q = _parse_qubit(ops[0], line)
-        key = RotationKey.from_pi_units(_parse_angle(ops[1], line), _parse_angle(ops[2], line))
+            raise ParseError("rxy takes qubit, phi, gamma")
+        q = _parse_qubit(ops[0])
+        key = RotationKey.from_pi_units(_parse_angle(ops[1]), _parse_angle(ops[2]))
         return Rxy(q, key)
     if mnemonic == "cz":
-        ops = rest.split(",")
+        ops = operands.split(",")
         if len(ops) != 2:
-            raise ParseError("cz takes two qubits", line)
-        return CZ(_parse_qubit(ops[0], line), _parse_qubit(ops[1], line))
+            raise ParseError("cz takes two qubits")
+        return CZ(_parse_qubit(ops[0]), _parse_qubit(ops[1]))
     if mnemonic == "measure":
-        if "->" not in rest:
-            raise ParseError("measure takes q<N> -> <reg>", line)
-        qtok, reg = rest.split("->", 1)
+        if "->" not in operands:
+            raise ParseError("measure takes q<N> -> <reg>")
+        qtok, reg = operands.split("->", 1)
         reg = reg.strip()
         if not reg.isidentifier():
-            raise ParseError(f"invalid register name {reg!r}", line)
-        return Measure(_parse_qubit(qtok, line), reg)
+            raise ParseError(f"invalid register name {reg!r}")
+        return Measure(_parse_qubit(qtok), reg)
     if mnemonic == "reset":
-        return Reset(_parse_qubit(rest, line))
-    raise ParseError(f"unknown mnemonic {mnemonic!r}", line)
+        return Reset(_parse_qubit(operands))
+    raise ParseError(f"unknown mnemonic {mnemonic!r}")
 
 
 def parse_slots(text: str, statement_parser=_parse_statement) -> tuple[int, tuple]:
     """Parse assembly text into (n_qubits, slots).
 
-    ``statement_parser`` is an extension hook used by the compiler module to
-    accept source-level mnemonics through the same slot grammar.  It must be
-    pure, a function of the statement text alone (the line number only goes
-    into error messages): each distinct line is parsed once, and a repeated
-    line reuses the slot object its first occurrence parsed to.
+    ``statement_parser(mnemonic, operands)`` is an extension hook used by the
+    compiler module to accept source-level mnemonics through the same slot
+    grammar.  It gets a statement's first word and the rest of its text, and
+    must be pure: each distinct line is parsed once, and a repeated line reuses
+    the slot object its first occurrence parsed to.  This is the one place that
+    knows line numbers: a ``ParseError`` or ``ValidationError`` raised for a
+    line is re-raised in its class with ``line N: `` in front of its message.
     """
     slots: list[TimeSlot] = []
     parsed: dict[str, TimeSlot] = {}
@@ -415,28 +412,36 @@ def parse_slots(text: str, statement_parser=_parse_statement) -> tuple[int, tupl
         s = parsed.get(stripped)
         if s is None:
             try:
-                s = _parse_line(stripped, lineno, statement_parser)
+                s = _parse_line(stripped, statement_parser)
+                for instr in s.instructions:
+                    max_q = max(max_q, *instr.qubits)
+                if max_q >= MAX_QUBITS:
+                    raise ValidationError(f"qubit q{max_q} beyond the widest supported "
+                                          f"program, q0..q{MAX_QUBITS - 1}")
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from exc
             except ValidationError as exc:  # a rule of the line's instructions or slot
                 raise ValidationError(f"line {lineno}: {exc}") from exc
-            for instr in s.instructions:
-                max_q = max(max_q, *instr.qubits)
-            if max_q >= MAX_QUBITS:
-                raise ValidationError(f"line {lineno}: qubit q{max_q} beyond the widest "
-                                      f"supported program, q0..q{MAX_QUBITS - 1}")
             parsed[stripped] = s
         slots.append(s)
     return (max_q + 1 if max_q >= 0 else 0), tuple(slots)
 
 
-def _parse_line(stripped: str, lineno: int, statement_parser) -> TimeSlot:
+def _parse_line(stripped: str, statement_parser) -> TimeSlot:
     """The slot of one non-empty, comment-free line: a statement or ``{ ... }``."""
     if not stripped.startswith("{"):
-        return TimeSlot((statement_parser(stripped, lineno),))
-    if not stripped.endswith("}"):
-        raise ParseError("parallel slot must close on the same line", lineno)
-    body = stripped[1:-1].strip()
-    stmts = [s for s in (p.strip() for p in body.split("|")) if s] if body else []
-    return TimeSlot(tuple(statement_parser(s, lineno) for s in stmts))
+        stmts = [stripped]
+    elif stripped.endswith("}"):
+        stmts = [p for p in map(str.strip, stripped[1:-1].split("|")) if p]
+    else:
+        raise ParseError("parallel slot must close on the same line")
+    return TimeSlot(tuple(statement_parser(*_split_statement(s)) for s in stmts))
+
+
+def _split_statement(stmt: str) -> tuple[str, str]:
+    """(mnemonic, operand text) of a non-empty statement."""
+    mnemonic, *operands = stmt.split(None, 1)
+    return mnemonic, "".join(operands)
 
 
 def parse_program(text: str) -> QuantumProgram:

@@ -248,9 +248,8 @@ def test_source_round_trip(source):
 def test_bad_statement_repeated_reports_its_first_line(parse):
     lines = ["reset q0", "cz q0, q1", "bogus q0", "reset q0",
              "cz q0, q1", "reset q1", "bogus q0"]
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ParseError, match=r"^line 3: unknown mnemonic 'bogus'$"):
         parse("\n".join(lines) + "\n")
-    assert err.value.line == 3
 
 
 @pytest.mark.parametrize("parse", [parse_program, parse_source_program])
@@ -258,6 +257,53 @@ def test_repeated_slot_beyond_q7_raises_on_its_first_occurrence(parse):
     wide = f"{{ reset q0 | reset q{isa.MAX_QUBITS} }}"
     text = "\n".join(["reset q0", "reset q1", wide, "reset q0", wide]) + "\n"
     with pytest.raises(ValidationError, match="^line 3: "):
+        parse(text)
+
+
+_FINITE = "expected an angle in units of pi that is finite in radians"
+
+# (bad statement, error class, message without its "line N: ", grammars that
+# know the mnemonic); the source grammar knows every native mnemonic
+_STATEMENT_ERRORS = [
+    ("rxy q0, 0.5", ParseError, "rxy takes qubit, phi, gamma", "native"),
+    ("cz q0", ParseError, "cz takes two qubits", "native"),
+    ("rx q0", ParseError, "rx takes qubit, angle", "source"),
+    ("cnot q0, q1, q2", ParseError, "cnot takes target, control", "source"),
+    ("crx q0, q1", ParseError, "crx takes rotated, conditioning, angle", "source"),
+    ("measure q0", ParseError, "measure takes q<N> -> <reg>", "native"),
+    ("measure q0 -> 1m", ParseError, "invalid register name '1m'", "native"),
+    ("reset x1", ParseError, "expected qubit operand, got 'x1'", "native"),
+    ("rxy q0, nan, 0.5", ParseError, f"{_FINITE}, got 'nan'", "native"),
+    ("ry\tq0,  1e308", ParseError, f"{_FINITE}, got '1e308'", "source"),
+    ("bogus q0", ParseError, "unknown mnemonic 'bogus'", "native"),
+    ("cz q1, q1", ValidationError, "cz operands must differ, got q1 twice", "native"),
+    ("reset q8", ValidationError, "qubit q8 beyond the widest supported program, q0..q7",
+     "native"),
+]
+# whole lines whose error is the slot's, not one statement's
+_LINE_ERRORS = [
+    ("{ reset q0 | reset q1", ParseError, "parallel slot must close on the same line"),
+    ("{ reset q1 | cz q0, q1 }", ValidationError, "qubit q1 appears twice in one slot"),
+]
+
+
+def _line_error_cases():
+    for statement, cls, message, grammar in _STATEMENT_ERRORS:
+        parsers = [parse_source_program] + ([parse_program] if grammar == "native" else [])
+        for line in (statement, f"{{ {statement} | reset q5 }}"):
+            for parse in parsers:
+                yield pytest.param(parse, line, cls, message, id=f"{parse.__name__}-{line}")
+    for line, cls, message in _LINE_ERRORS:
+        for parse in (parse_program, parse_source_program):
+            yield pytest.param(parse, line, cls, message, id=f"{parse.__name__}-{line}")
+
+
+@pytest.mark.parametrize("parse, line, cls, message", _line_error_cases())
+def test_every_line_error_names_its_line(parse, line, cls, message):
+    """Each error one line can raise, in either grammar, bare and inside a
+    parallel slot: its own class, and its message after ``line 3: ``."""
+    text = f"reset q0\ncz q0, q1\n{line}\nreset q1\n"
+    with pytest.raises(cls, match=f"^line 3: {re.escape(message)}$"):
         parse(text)
 
 

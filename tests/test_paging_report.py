@@ -1,8 +1,10 @@
 """`qcoproc paging-report`: its direct formatter against `json.dumps`, the
-shipped trace's digest, and a capacity failure partway through the stream."""
+shipped trace's digest, a capacity failure partway through the stream, and
+a report written part by part, never joined."""
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -44,13 +46,13 @@ def _configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_configs())
 def test_formatter_matches_json_dumps(per_program_replay, config):
-    assert cli.paging_report_text(config) == _json_dumps_report(config, per_program_replay)
+    assert "".join(cli.paging_report_parts(config)) == _json_dumps_report(config, per_program_replay)
 
 
 def test_formatter_matches_json_dumps_with_evictions(per_program_replay):
     config = ExperimentConfig(w_values=(-2.5, 25.0), n_realizations=4, n_steps=3,
                               capacity=10)
-    text = cli.paging_report_text(config)
+    text = "".join(cli.paging_report_parts(config))
     assert text == _json_dumps_report(config, per_program_replay)
     assert any(run["evicted"] for run in json.loads(text)["runs"])
 
@@ -59,7 +61,7 @@ def test_runs_after_an_evicting_k1(per_program_replay):
     """An eviction at k = 1 changes k = 2's DLST, and every later k prints
     k = 2's run with only its "k" changed."""
     config = ExperimentConfig(w_values=(25.0,), n_realizations=4, n_steps=6, capacity=10)
-    text = cli.paging_report_text(config)
+    text = "".join(cli.paging_report_parts(config))
     assert text == _json_dumps_report(config, per_program_replay)
     runs = json.loads(text)["runs"]
     by_realization = [runs[i * 7:(i + 1) * 7] for i in range(4)]
@@ -102,3 +104,30 @@ def test_capacity_exceeded_writes_nothing(tmp_path, capsys, capacity):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_stdout_and_out_carry_the_same_bytes(tmp_path, capfdbinary):
+    config = _config_with_capacity(tmp_path, 10)
+    out = tmp_path / "paging-report.json"
+    assert cli.main(["paging-report", "--config", str(config), "--out", str(out)]) == 0
+    capfdbinary.readouterr()
+    assert cli.main(["paging-report", "--config", str(config)]) == 0
+    assert capfdbinary.readouterr().out == out.read_bytes()
+
+
+def test_report_is_written_without_joining_its_parts(tmp_path):
+    """A 7.5 MB report peaks at some 0.5 MB of traced memory: its parts share
+    each pass's text and go to the file one by one.  Joined into one string
+    first, the document alone would exceed the bound."""
+    body = json.loads(DEFAULT_CONFIG.read_text())
+    body.update(n_realizations=5, n_steps=400)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    out = tmp_path / "paging-report.json"
+    tracemalloc.start()
+    try:
+        assert cli.main(["paging-report", "--config", str(config), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 4
