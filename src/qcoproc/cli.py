@@ -49,24 +49,20 @@ def config_hash(config: workload.ExperimentConfig) -> str:
 
 
 def _realization_from_args(args) -> workload.DisorderRealization:
+    """The seed's realization, or the four fields, with the given fields applied once."""
     tau = args.tau_over_pi * math.pi
+    given = {n: getattr(args, n) for n in ("h0x", "h0y", "h1x", "h1y")
+             if getattr(args, n) is not None}
+    fields = {"w": args.w, "tau": tau, "n_steps": args.n_steps}
     if args.seed is not None:
         check_range("--seed", args.seed, 0)
         rng = np.random.default_rng(args.seed)
-        r = workload.sample_disorder(args.w, tau, args.n_steps, rng, seed=args.seed)
-    else:
-        missing = [n for n in ("h0x", "h0y", "h1x", "h1y") if getattr(args, n) is None]
-        if missing:
-            raise ValidationError(f"give --seed or all of --h0x/--h0y/--h1x/--h1y "
-                                  f"(missing {missing})")
-        r = workload.DisorderRealization(w=args.w, tau=tau, n_steps=args.n_steps,
-                                         h0x=args.h0x, h0y=args.h0y,
-                                         h1x=args.h1x, h1y=args.h1y, seed=0)
-    overrides = {n: getattr(args, n) for n in ("h0x", "h0y", "h1x", "h1y")
-                 if getattr(args, n) is not None}
-    if overrides and args.seed is not None:
-        r = dataclasses.replace(r, **overrides)
-    return r
+        fields = dataclasses.asdict(workload.sample_disorder(**fields, rng=rng, seed=args.seed))
+    elif len(given) < 4:
+        missing = [n for n in ("h0x", "h0y", "h1x", "h1y") if n not in given]
+        raise ValidationError(f"give --seed or all of --h0x/--h0y/--h1x/--h1y "
+                              f"(missing {missing})")
+    return workload.DisorderRealization(**{**fields, **given})
 
 
 def cmd_gen(args) -> int:
@@ -155,9 +151,11 @@ def _golden_dict(config: workload.ExperimentConfig,
     }
 
 
+GOLDEN_TOL = 1e-9  # the contract's bound on each golden imbalance value
+
+
 def compare_golden(config: workload.ExperimentConfig,
-                   result: workload.ExperimentResult, golden: dict,
-                   tol: float = 1e-9) -> None:
+                   result: workload.ExperimentResult, golden: dict) -> None:
     if not isinstance(golden, dict):
         raise GoldenMismatch("golden record must be a JSON object")
     if golden.get("config_hash") != config_hash(config):
@@ -173,7 +171,7 @@ def compare_golden(config: workload.ExperimentConfig,
             raise GoldenMismatch(f"golden for w={w:g} must list {config.n_steps + 1} values")
         for k, (a, b) in enumerate(zip(result.series[w].mean.tolist(), recorded)):
             try:  # NaN and infinities fail the comparison; the series holds neither
-                close = abs(a - simulator.as_float("golden value", b)) <= tol
+                close = abs(a - simulator.as_float("golden value", b)) <= GOLDEN_TOL
             except ValidationError:  # a bool, a string or an int past the float range
                 close = False
             if not close:

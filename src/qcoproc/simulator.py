@@ -316,18 +316,12 @@ def run_ideal(program: QuantumProgram, mode: str = "exact", n_avg: int = 1000,
 
 
 def run_noisy(program: QuantumProgram, noise: NoiseParams, mode: str = "exact",
-              n_avg: int = 1000, seed: int | None = None,
-              check_invariants: bool = False) -> MeasurementRecord:
+              n_avg: int = 1000, seed: int | None = None) -> MeasurementRecord:
     """Execute on the density-matrix backend with T1/T2 decay after every slot."""
     _validate_program(program)
     _check_noise_covers(noise, program.n_qubits)
-
-    def after_slot(rho: DensityMatrix, s: TimeSlot) -> None:
-        _apply_slot_noise(rho, s, noise)
-        if check_invariants:
-            rho.validate()
-
-    return _run(program, DensityMatrix.ground, after_slot, mode, n_avg, seed)
+    return _run(program, DensityMatrix.ground,
+                lambda rho, s: _apply_slot_noise(rho, s, noise), mode, n_avg, seed)
 
 
 def _run(program: QuantumProgram, ground, after_slot, mode: str, n_avg: int,
@@ -559,13 +553,13 @@ class BlochVector:
     phi: float
 
 
-def bloch_angles(state: StateVector | np.ndarray) -> BlochVector:
-    """(theta, phi) of a normalized single-qubit pure state.
+def bloch_angles(amplitudes: np.ndarray) -> BlochVector:
+    """(theta, phi) of a normalized single-qubit pure state's two amplitudes.
 
     theta = 2*arccos(|a0|); phi = arg(a1) - arg(a0) mod 2*pi, defined as 0 at
     the poles.
     """
-    amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, complex)
+    amps = np.asarray(amplitudes, complex)
     if amps.shape != (2,):
         raise QcoprocError("expected a single-qubit state")
     if not abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= 1e-10:  # NaN fails
@@ -585,7 +579,7 @@ def bloch_angles(state: StateVector | np.ndarray) -> BlochVector:
 MAX_TRAJECTORY_STEPS = 10**5
 
 
-def rotation_trajectory(key: RotationKey, n_steps: int = 20) -> list[BlochVector]:
+def rotation_trajectory(key: RotationKey, n_steps: int) -> list[BlochVector]:
     """Bloch angles of Rxy(phi, gamma*s/n)|0> for s = 0..n_steps."""
     check_range("n_steps", n_steps, 1, MAX_TRAJECTORY_STEPS)
     ground = np.array([1.0, 0.0], dtype=complex)

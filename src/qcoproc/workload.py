@@ -21,13 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import simulator, wavemem
-from .compiler import CNOT, CRx, Rx, Rz, SourceProgram
+from .compiler import CNOT, CRx, HALF_PI, Rx, Rz, SourceProgram
 from .errors import CapacityExceeded, QcoprocError, ValidationError, check_range
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  basis_bit, embed, program_segment_unitary, rxy_matrix, slot)
+                  basis_bit, program_segment_unitary, slot, slot_unitary)
 from .simulator import NoiseParams, StateVector, hamiltonian_matrix
 
-HALF_PI = math.pi / 2
 DEFAULT_TAU = 0.04 * math.pi
 
 # Each step adds a row to every output and a pass to the paging stream.  At the
@@ -36,9 +35,17 @@ DEFAULT_TAU = 0.04 * math.pi
 # 68 MB peak RSS and writes 6.2 MB, `paging-report` takes 0.3-0.4 s and 74 MB
 # and writes 19 MB, and `gen --n-steps 100000 --k 100000` takes 0.7-0.8 s and
 # 106 MB and writes 28 MB (whole processes, 2 CPUs, Python 3.11, numpy 2.4).
-# The experiment and paging-report totals still scale with n_realizations x
-# len(w_values).
+# The experiment and paging-report totals scale with n_realizations x
+# len(w_values), up to MAX_POINTS below.
 MAX_STEPS = 10**5
+
+# A sweep's len(w_values) x n_realizations x (n_steps + 1) points, bounded so
+# that a config too large to hold fails before any paging: the default
+# config's two w and 60 realizations at MAX_STEPS.  There, `experiment
+# --dump-realizations` takes 49-54 s and 1.9 GB peak RSS and writes 330 MB,
+# and `paging-report` to /dev/null takes 26-27 s and 1.05 GB (whole
+# processes, 2 CPUs, Python 3.11, numpy 2.4).
+MAX_POINTS = 2 * 60 * (MAX_STEPS + 1)
 
 
 def _check_evolution(tau: float, n_steps: int) -> None:
@@ -167,10 +174,8 @@ def trotter_interval_unitary(r: DisorderRealization) -> np.ndarray:
     exp(-i H tau) with H = hamiltonian_matrix(w, h0x, h0y, h1x, h1y).
     """
     interval = QuantumProgram(n_qubits=2, slots=_interval_slots(r))
-    U = program_segment_unitary(interval)
-    v = rxy_matrix(RotationKey.make(0.0, -HALF_PI))  # Rx(-pi/2)
-    V = embed({0: v, 1: v}, 2)
-    return V.conj().T @ U @ V
+    leave = slot_unitary(_EPILOGUE, 2)  # the working frame's exit, Rx(pi/2) on both
+    return leave @ program_segment_unitary(interval) @ leave.conj().T
 
 
 def imbalance(p0: float | np.ndarray, p1: float | np.ndarray) -> float | np.ndarray:
@@ -248,6 +253,8 @@ class ExperimentConfig:
         check_range("capacity", self.capacity, 1)
         if self.backend not in ("ideal", "noisy"):
             raise ValidationError(f"unknown backend {self.backend!r}")
+        check_range("points (len(w_values) x n_realizations x (n_steps + 1))",
+                    len(self.w_values) * self.n_realizations * (self.n_steps + 1), 1, MAX_POINTS)
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":

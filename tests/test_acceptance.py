@@ -330,12 +330,18 @@ def test_criterion_7_noisy_backend_physics(default_experiment):
     noise = NoiseParams.octobox_defaults()
 
     # trace/Hermiticity/PSD after every slot across a full-depth realization
+    def decay_then_validate(rho, s):
+        simulator._apply_slot_noise(rho, s, noise)
+        rho.validate()
+
     rng = np.random.default_rng(7007)
     for w in (1.0, 25.0):
         r = sample_disorder(w, DEFAULT_TAU, 10, rng)
         for k in (0, 5, 10):
-            simulator.run_noisy(build_native_circuit(r, k), noise,
-                                check_invariants=True)
+            program = build_native_circuit(r, k)
+            checked = simulator._run(program, simulator.DensityMatrix.ground,
+                                     decay_then_validate, "exact", 1, None)
+            assert checked.registers == simulator.run_noisy(program, noise).registers
 
     # closed forms with T1 = 28us / 22us, T2 = 4.2us / 38us
     n_slots = 80

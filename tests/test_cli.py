@@ -2,8 +2,10 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcoproc import cli, isa, simulator, workload
@@ -66,6 +68,33 @@ class TestGen:
         code = run_cli("gen", "--w", "2", "--k", "11", "--seed", "1",
                        "--out", str(tmp_path / "x.qasm"))
         assert code == 3
+
+    @pytest.mark.parametrize("seed,name,value", [(3, "h0x", "0.5"), (11, "h1y", "-0.25"),
+                                                 (0, "h0y", "1"), (3, "h1x", "-1")])
+    def test_seed_override_is_the_four_fields(self, capsys, seed, name, value):
+        """``--seed S --<field> v`` is the four-field form with the seed's
+        other fields, byte for byte."""
+        r = workload.sample_disorder(25.0, 0.04 * math.pi, 10, np.random.default_rng(seed))
+        four = {n: repr(getattr(r, n)) for n in ("h0x", "h0y", "h1x", "h1y")}
+        four[name] = value
+        assert run_cli("gen", "--w", "25", "--k", "10", "--seed", str(seed),
+                       f"--{name}", value) == 0
+        overridden = capsys.readouterr().out
+        assert run_cli("gen", "--w", "25", "--k", "10",
+                       *(a for n, v in four.items() for a in (f"--{n}", v))) == 0
+        assert capsys.readouterr().out == overridden
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40])
+    def test_seed_with_four_fields_is_only_checked(self, capsys, seed):
+        """With all four fields given, ``--seed`` changes no byte; a negative
+        one still fails its check."""
+        four = ["--h0x", "0.1", "--h0y", "-0.2", "--h1x", "0.3", "--h1y", "-0.4"]
+        assert run_cli("gen", "--w", "25", "--k", "10", *four) == 0
+        alone = capsys.readouterr().out
+        assert run_cli("gen", "--w", "25", "--k", "10", "--seed", str(seed), *four) == 0
+        assert capsys.readouterr().out == alone
+        assert run_cli("gen", "--w", "25", "--k", "10", "--seed", "-1", *four) == 3
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
 
 
 # `qcoproc compile` of the README's assembly example, with every pass and with
@@ -363,6 +392,12 @@ def _bytes_file(tmp_path, data, name) -> Path:
     return path
 
 
+def _over_points(tmp_path) -> Path:
+    """One w and 3-step realizations, one realization past ``workload.MAX_POINTS``."""
+    return small_config(tmp_path, w_values=[1.0], n_steps=2,
+                        n_realizations=workload.MAX_POINTS // 3 + 1)
+
+
 # (argv builder over tmp_path, documented exit code)
 INVALID_INPUTS = {
     "capacity-flag-0": (lambda t: ["experiment", "--config", small_config(t),
@@ -380,6 +415,9 @@ INVALID_INPUTS = {
         t, w_values=[1.0], n_realizations=1, n_steps=10**17)], 3),
     "n-steps-1e17-paging": (lambda t: ["paging-report", "--config", small_config(
         t, w_values=[1.0], n_realizations=1, n_steps=10**17)], 3),
+    # a sweep past the points bound is rejected before any paging
+    "points-above-cap": (lambda t: ["experiment", "--config", _over_points(t)], 3),
+    "points-above-cap-paging": (lambda t: ["paging-report", "--config", _over_points(t)], 3),
     "gen-n-steps-above-cap": (lambda t: ["gen", "--w", "1", "--k", "1", "--seed", "1",
                                          "--n-steps", workload.MAX_STEPS + 1], 3),
     "tau-0": (lambda t: ["experiment", "--config", small_config(t, tau_over_pi=0.0)], 3),
@@ -458,6 +496,11 @@ INVALID_INPUTS = {
     "run-sampled-seed-negative": (lambda t: ["run", _program_file(t), "--mode", "sampled",
                                              "--seed", "-1"], 3),
     "gen-seed-negative": (lambda t: ["gen", "--w", "1", "--k", "1", "--seed", "-1"], 3),
+    # gen checks --seed, then the seed's realization, then the given fields
+    "gen-seed-then-h0x-above": (lambda t: ["gen", "--w", "25", "--k", "10", "--seed", "3",
+                                           "--h0x", "2"], 3),
+    "gen-seed-negative-before-h0x": (lambda t: ["gen", "--w", "25", "--k", "10", "--seed",
+                                                "-1", "--h0x", "2"], 3),
     # non-finite angles: a parse error in program text, a validation error elsewhere
     "run-angle-inf": (lambda t: ["run", _text_file(
         t, "rxy q0, 0, inf\nmeasure q0 -> a\n", "p.qasm")], 2),
@@ -567,6 +610,41 @@ def test_invalid_input_exit_code_and_one_line_error(tmp_path, capsys, name):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# the exact stderr of the rows that pin an order of checks
+INVALID_INPUT_MESSAGES = {
+    "gen-seed-then-h0x-above": "error: h0x must lie in [-1, 1], got 2.0\n",
+    "gen-seed-negative-before-h0x": "error: --seed must be >= 0, got -1\n",
+    "points-above-cap": "error: points (len(w_values) x n_realizations x (n_steps + 1)) "
+                        f"must lie in 1..{workload.MAX_POINTS}, "
+                        f"got {3 * (workload.MAX_POINTS // 3 + 1)}\n",
+}
+INVALID_INPUT_MESSAGES["points-above-cap-paging"] = INVALID_INPUT_MESSAGES["points-above-cap"]
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_INPUT_MESSAGES))
+def test_invalid_input_message(tmp_path, capsys, name):
+    build, expected = INVALID_INPUTS[name]
+    assert run_cli(*[str(a) for a in build(tmp_path)]) == expected
+    assert capsys.readouterr() == ("", INVALID_INPUT_MESSAGES[name])
+
+
+@pytest.mark.parametrize("command", ["experiment", "paging-report"])
+def test_sweep_past_points_bound_does_no_work(tmp_path, capsys, command):
+    """A config one realization past the bound fails before it pages or
+    writes anything: one stderr line, no output, under 1 MB traced."""
+    config = _over_points(tmp_path)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert run_cli(command, "--config", str(config), "--out", str(out)) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestTrajectory:

@@ -176,7 +176,14 @@ class TestRunNoisy:
         r = workload.DisorderRealization(w=25.0, tau=0.04 * PI, n_steps=10,
                                          h0x=0.5, h0y=-0.5, h1x=0.5, h1y=-0.5)
         p = workload.build_native_circuit(r, 5)
-        run_noisy(p, NoiseParams.octobox_defaults(), check_invariants=True)
+        noise = NoiseParams.octobox_defaults()
+
+        def decay_then_validate(rho, s):
+            simulator._apply_slot_noise(rho, s, noise)
+            rho.validate()
+
+        checked = simulator._run(p, DensityMatrix.ground, decay_then_validate, "exact", 1, None)
+        assert checked.registers == run_noisy(p, noise).registers
 
     def test_idling_qubit_decoheres_during_partner_gates(self):
         noise = NoiseParams.octobox_defaults()

@@ -79,6 +79,19 @@ class TestSampleDisorder:
         with pytest.raises(ValidationError, match="^n_steps must"):
             ExperimentConfig(n_steps=n_steps)
 
+    def test_points_bound_is_checked_last(self):
+        """The default config at the step cap sits on the points bound; one
+        realization more fails, after every per-field rule."""
+        assert 2 * 60 * (workload.MAX_STEPS + 1) == workload.MAX_POINTS
+        assert ExperimentConfig(n_steps=workload.MAX_STEPS)
+        over = {"n_steps": workload.MAX_STEPS, "n_realizations": 61}
+        with pytest.raises(ValidationError, match=r"^points \(len\(w_values\) x n_realizations"
+                           rf" x \(n_steps \+ 1\)\) must lie in 1\.\.{workload.MAX_POINTS}, "
+                           rf"got {2 * 61 * (workload.MAX_STEPS + 1)}$"):
+            ExperimentConfig(**over)
+        with pytest.raises(ValidationError, match="^unknown backend 'x'$"):
+            ExperimentConfig(**over, backend="x")
+
 
 class TestSourceCircuit:
     def test_step_zero_is_prologue_and_measure(self):
@@ -436,7 +449,8 @@ class TestExperiment:
         ExperimentConfig,
         w_values=st.lists(st.integers(-100, 100) | st.floats(-1e6, 1e6), min_size=1,
                           max_size=3, unique_by=float),
-        n_realizations=st.integers(1, 10**6),
+        # at most 3 w and 101 steps: every draw stays within the points bound
+        n_realizations=st.integers(1, workload.MAX_POINTS // (3 * 101)),
         # the file stores tau / pi to 12 decimals, which these values survive
         tau=st.integers(1, 10**6).map(lambda n: n / 10**4 * PI),
         n_steps=st.integers(0, 100), master_seed=st.integers(0, 2**64),
