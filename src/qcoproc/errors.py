@@ -1,33 +1,35 @@
 """Exception types shared across the toolkit: one class per distinct handling.
 
-``qcoproc.cli.main`` exits with each class's code (its ``EXIT_CODES`` table, 1
-for the rest):
+Each class's ``exit_code`` is what ``qcoproc.cli.main`` returns for it; a
+subclass that declares none exits as its base does:
 
-* ``QcoprocError`` (exit 1): any other error, e.g. a gate a compiler pass
-  cannot handle, or a non-Hermitian Hamiltonian;
-* ``ParseError`` (exit 2): text that does not conform to its grammar; in
-  program text it names its line, as a ``ValidationError`` there does;
-* ``ValidationError`` (exit 3): a program, configuration or argument that
-  violates a rule; :func:`check_range` is the one bound rule of every
-  integer setting;
-* ``NonUnitarySlot`` (exit 1): a unitary was asked of measure/reset, which
+* ``QcoprocError``: any other error, e.g. a gate a compiler pass cannot
+  handle, or a non-Hermitian Hamiltonian;
+* ``ParseError``: text that does not conform to its grammar; in program text
+  it names its line, as a ``ValidationError`` there does;
+* ``ValidationError``: a program, configuration or argument that violates a
+  rule; :func:`check_range` is the one bound rule of every integer setting;
+* ``NonUnitarySlot``: a unitary was asked of measure/reset, which
   ``qcoproc compile`` catches to skip its equivalence check;
-* ``CapacityExceeded`` (exit 4): the codeword table is too small;
-* ``GoldenMismatch`` (exit 5): results disagree with a golden record.
+* ``CapacityExceeded``: the codeword table is too small;
+* ``GoldenMismatch``: results disagree with a golden record.
 """
 
 
 class QcoprocError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 1
 
 
 class ParseError(QcoprocError):
     """Text does not conform to its grammar; ``isa.parse_slots`` puts the
     ``line N: `` of assembly text in front of the message."""
+    exit_code = 2
 
 
 class ValidationError(QcoprocError):
     """A program or configuration violates a structural invariant."""
+    exit_code = 3
 
 
 def check_range(name: str, value, lo: int, hi: int | None = None) -> None:
@@ -43,7 +45,9 @@ class NonUnitarySlot(QcoprocError):
 
 class CapacityExceeded(QcoprocError):
     """A program needs more distinct rotations than the codeword table holds."""
+    exit_code = 4
 
 
 class GoldenMismatch(QcoprocError):
     """Experiment results disagree with a golden record."""
+    exit_code = 5

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -139,20 +138,17 @@ def page_update(program: QuantumProgram, rct: RCT,
 
     evicted: list[RotationKey] = []
     if to_load:
-        # The lowest free codewords, scanned for past the residents rather than
-        # taken from a set of all free ones, so a pass does not grow with capacity.
-        used = set(rct.codewords.values())
-        free = list(islice((cw for cw in range(rct.capacity) if cw not in used),
-                           len(to_load)))
-        n_evict = len(to_load) - len(free)
-        if n_evict:
+        n_evict = len(to_load) - (rct.capacity - len(rct.codewords))  # the shortfall
+        if n_evict > 0:
             dlst_sorted = sorted(dlst)
             victims = rng.choice(len(dlst_sorted), size=n_evict, replace=False)
-            for victim in (dlst_sorted[i] for i in sorted(victims.tolist())):
-                free.append(rct.codewords.pop(victim))
-                evicted.append(victim)
-            free.sort()
-        rct.codewords.update(zip(to_load, free))
+            evicted = [dlst_sorted[i] for i in sorted(victims.tolist())]
+            for victim in evicted:
+                del rct.codewords[victim]
+        # The lowest unused codewords, scanned for past the residents rather than
+        # taken from a set of all free ones, so a pass does not grow with capacity.
+        used = set(rct.codewords.values())
+        rct.codewords.update(zip(to_load, (cw for cw in range(rct.capacity) if cw not in used)))
         rct.load_counter += len(to_load)
 
     report = PageReport(dlst=dlst, evicted=tuple(evicted), loaded=tuple(to_load),

@@ -457,14 +457,18 @@ def experiment_json(result: ExperimentResult) -> str:
                        "imbalance": body}, indent=2, sort_keys=True)
 
 
-def realizations_json(result: ExperimentResult) -> str:
-    """Per-realization dump: disorder fields and the imbalance curve."""
-    rows = []
+def realizations_json(result: ExperimentResult):
+    """Per-realization dump (disorder fields and the imbalance curve) as the
+    parts of ``json.dumps(rows, indent=2)``, formatted one row at a time so
+    that the document is never held whole; a result has at least one row."""
+    sep = "[\n  "
     for w in result.config.w_values:
-        series = result.series[w]
-        for r, curve in zip(result.realizations[w], series.per_realization):
-            rows.append({**r.to_json_dict(), "I": curve.tolist()})
-    return json.dumps(rows, indent=2)
+        for r, curve in zip(result.realizations[w], result.series[w].per_realization):
+            yield sep
+            yield json.dumps({**r.to_json_dict(), "I": curve.tolist()},
+                             indent=2).replace("\n", "\n  ")
+            sep = ",\n  "
+    yield "\n]"
 
 
 def exact_imbalance_curve(r: DisorderRealization) -> list[float]:

@@ -262,6 +262,21 @@ class TestExperiment:
         assert (a / "imbalance.csv").read_bytes() == (b / "imbalance.csv").read_bytes()
         assert (a / "paging.json").read_bytes() == (b / "paging.json").read_bytes()
 
+    def test_realizations_are_written_one_row_at_a_time(self, tmp_path):
+        """A 5.4 MB dump peaks below a quarter of its size under tracemalloc,
+        since its rows are formatted and written one by one.  Formatted as one
+        string, the document alone would exceed the bound."""
+        config = workload.ExperimentConfig(n_realizations=100, n_steps=1000)
+        result = workload.run_experiment(config)
+        out = tmp_path / "realizations.json"
+        tracemalloc.start()
+        try:
+            cli._output(workload.realizations_json(result), str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size / 4
+
     def test_capacity_8_surfaces_capacity_exceeded(self, tmp_path):
         config = small_config(tmp_path)
         code = run_cli("experiment", "--config", str(config), "--capacity", "8",

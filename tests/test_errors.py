@@ -47,8 +47,27 @@ def test_every_toolkit_class_has_its_own_handling():
     for _, _, handler in _nodes(ast.ExceptHandler):
         kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
         caught.update(_name(kind) for kind in kinds if kind is not None)
-    handled = {"QcoprocError"} | {cls.__name__ for cls, _ in cli.EXIT_CODES} | caught
+    handled = {name for name in ERROR_CLASSES if "exit_code" in vars(getattr(errors, name))}
+    handled |= caught
     assert ERROR_CLASSES <= handled, f"classes with no handling: {sorted(ERROR_CLASSES - handled)}"
+
+
+def test_each_class_carries_its_exit_code():
+    assert {name: getattr(errors, name).exit_code for name in ERROR_CLASSES} == {
+        "QcoprocError": 1, "ParseError": 2, "ValidationError": 3, "NonUnitarySlot": 1,
+        "CapacityExceeded": 4, "GoldenMismatch": 5}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CLASSES))
+def test_main_exits_with_the_raised_class_code(monkeypatch, capsys, name):
+    cls = getattr(errors, name)
+
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_trajectory", fail)
+    assert cli.main(["trajectory", "--phi-over-pi", "0", "--gamma-over-pi", "0"]) == cls.exit_code
+    assert capsys.readouterr() == ("", "error: boom\n")
 
 
 def _realization(n_steps):

@@ -408,6 +408,23 @@ class TestExperiment:
         assert lines[0] == "w,k,imbalance_mean,imbalance_stderr,n_realizations"
         assert len(lines) == 1 + 2 * 3  # two w values, k = 0..2
 
+    @settings(max_examples=40, deadline=None)
+    @given(w_values=st.lists(st.just(0.0) | st.floats(-30.0, 30.0), min_size=1, max_size=3,
+                             unique=True),  # 0.0 and -0.0 count as one
+           n_realizations=st.integers(1, 3), n_steps=st.integers(0, 6),
+           mode=st.sampled_from(["exact", "sampled"]))
+    def test_realizations_dump_is_json_dumps_of_its_rows(self, w_values, n_realizations,
+                                                         n_steps, mode):
+        """The dump's parts, formatted one row at a time, concatenate to the
+        one indented ``json.dumps`` of every row."""
+        config = ExperimentConfig(w_values=tuple(w_values), n_realizations=n_realizations,
+                                  n_steps=n_steps, measurement_mode=mode, n_avg=50)
+        result = run_experiment(config)
+        rows = [{**r.to_json_dict(), "I": curve.tolist()}
+                for w in config.w_values
+                for r, curve in zip(result.realizations[w], result.series[w].per_realization)]
+        assert "".join(workload.realizations_json(result)) == json.dumps(rows, indent=2)
+
     def test_noisy_backend_runs(self):
         config = ExperimentConfig(w_values=(25.0,), n_realizations=1, n_steps=2,
                                   backend="noisy")
