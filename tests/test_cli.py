@@ -638,6 +638,16 @@ INVALID_INPUT_MESSAGES = {
 INVALID_INPUT_MESSAGES["points-above-cap-paging"] = INVALID_INPUT_MESSAGES["points-above-cap"]
 
 
+@pytest.mark.parametrize("text, line", [
+    (b"rxy q0, 0.0, 0.5\x0c\nrxy q1, 0.0, 0.5\nbogus q0\n", 3),
+    ("rxy q0, 0.0, 0.5\u2028# note\nbogus q0\n".encode(), 2),
+], ids=["form-feed", "line-separator"])
+def test_run_names_the_line_an_editor_shows(tmp_path, capsys, text, line):
+    """A form feed or U+2028 inside a line does not end it."""
+    assert run_cli("run", str(_bytes_file(tmp_path, text, "p.qasm"))) == 2
+    assert capsys.readouterr() == ("", f"error: line {line}: unknown mnemonic 'bogus'\n")
+
+
 @pytest.mark.parametrize("name", sorted(INVALID_INPUT_MESSAGES))
 def test_invalid_input_message(tmp_path, capsys, name):
     build, expected = INVALID_INPUTS[name]

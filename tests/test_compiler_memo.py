@@ -2,7 +2,7 @@
 each distinct line and slot once.
 
 ``build_source_circuit`` repeats one interval's slot objects, ``parse_slots``
-reuses the slot a repeated line parsed to, ``check_program`` checks each
+reuses the slot a repeated raw line parsed to, ``check_program`` checks each
 distinct slot object once, ``lower`` and ``frame_rotate_z_to_y`` reuse the
 output of a repeated slot object, ``schedule`` reuses the slot of a repeated
 run of instruction objects, and ``emit_program`` formats each distinct slot
@@ -305,6 +305,56 @@ def test_every_line_error_names_its_line(parse, line, cls, message):
     text = f"reset q0\ncz q0, q1\n{line}\nreset q1\n"
     with pytest.raises(cls, match=f"^line 3: {re.escape(message)}$"):
         parse(text)
+
+
+@pytest.mark.parametrize("parse, line, cls, message", _line_error_cases())
+def test_a_line_error_repeated_three_times_names_its_first_line(parse, line, cls, message):
+    text = f"reset q0\ncz q0, q1\n{line}\nreset q1\n{line}\n{line}\n"
+    with pytest.raises(cls, match=f"^line 3: {re.escape(message)}$"):
+        parse(text)
+
+
+# --- the line memo: one parse per distinct raw line -------------------------------
+
+GRAMMARS = [pytest.param(isa._parse_statement, parse_program, emit_program, id="native"),
+            pytest.param(compiler._parse_source_statement, parse_source_program,
+                         emit_source_program, id="source")]
+
+
+@pytest.mark.parametrize("grammar, parse, emit", GRAMMARS)
+def test_a_repeated_line_is_parsed_once_into_one_slot(grammar, parse, emit):
+    calls = []
+
+    def counting(mnemonic, operands):
+        calls.append(mnemonic)
+        return grammar(mnemonic, operands)
+
+    lines = ["rxy q0, 0.5, -1", "{ cz q0, q1 | }", "rxy q0, 0.5, -1  # a comment",
+             "rxy q0, 0.5, -1", "{ cz q0, q1 | }", "rxy q0, 0.5, -1"]
+    _, slots = isa.parse_slots("\n".join(lines) + "\n", counting)
+    assert calls == ["rxy", "cz", "rxy"]
+    assert slots[0] is slots[3] is slots[5] and slots[1] is slots[4]
+    assert slots[2] == slots[0] and slots[2] is not slots[0]
+
+
+@pytest.mark.parametrize("grammar, parse, emit", GRAMMARS)
+def test_lines_that_differ_in_whitespace_or_a_comment_parse_alike(grammar, parse, emit):
+    for variants in (["rxy q1, 0.5, -1", "  rxy q1, 0.5, -1", "rxy  q1 ,0.5,  -1\t",
+                      "rxy q1, 0.5, -1  # note", "rxy q1, 0.5, -1#"],
+                     ["{ rxy q0, 0, 0.5 | cz q1, q2 }", "{rxy q0, 0, 0.5|cz q1, q2}",
+                      "\t{ rxy q0, 0, 0.5 | | cz q1, q2 }  # both"]):
+        program = parse("\n".join(variants) + "\n")
+        first = parse(variants[0] + "\n")
+        assert program.slots == first.slots * len(variants)
+        assert emit(program) == emit(first) * len(variants)
+
+
+@pytest.mark.parametrize("grammar, parse, emit", GRAMMARS)
+def test_repeated_blank_and_comment_lines_add_no_slot(grammar, parse, emit):
+    lines = ["", "# c", "   ", "reset q0", "", "# c", "   ", "\t# c", "reset q0", "", "# c"]
+    assert parse("\n".join(lines) + "\n").slots == (slot(Reset(0)),) * 2
+    with pytest.raises(ParseError, match=r"^line 12: unknown mnemonic 'bogus'$"):
+        parse("\n".join(lines + ["bogus q0"]) + "\n")
 
 
 # --- emit, check and build --------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcoproc import isa
 from qcoproc.errors import NonUnitarySlot, ParseError, ValidationError
 from qcoproc.isa import (CZ, MAX_QUBITS, Measure, QuantumProgram, Reset, RotationKey,
                          Rxy, TimeSlot, embed, emit_program, kron,
@@ -67,6 +68,74 @@ class TestRotationKey:
         a = RotationKey.make(0.0, 0.25 * PI)
         b = RotationKey.make(0.0, 0.25 * PI + 1e-8)
         assert a != b
+
+    @pytest.mark.parametrize("convert", [float, np.float64, np.array])
+    def test_the_value_not_its_type_decides_the_key(self, convert):
+        """numpy's scalar round is not correctly rounded: on an np.float64
+        this gamma once quantized to 0.501656380626, on a float to ...625."""
+        key = RotationKey.make(convert(0.0), convert(1.5759999999995158))
+        assert repr(key) == "RotationKey(0.0*pi, 0.501656380625*pi)"
+        assert [type(field) for field in key] == [float, float]
+
+
+def _around(x: float, ulps: int) -> float:
+    """x moved by ``ulps`` units in the last place, either way."""
+    step = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, step)
+    return x
+
+
+_ULPS = st.integers(-2, 2)
+# angles in radians: any float, ints and np.float64; the 1e-12 grid in units of
+# pi and the midpoints between its points, give or take an ulp; and multiples
+# of pi at the edges of phi's % 2 and gamma's % 4, on both signs
+memo_angles = st.one_of(
+    st.floats(-50, 50),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-50, 50),
+    st.floats(-50, 50).map(np.float64),
+    st.builds(lambda n, half, ulps: _around((n + half) * 1e-12 * PI, ulps),
+              st.integers(-10**6, 10**6), st.sampled_from([0.0, 0.5]), _ULPS),
+    st.builds(lambda n, half, ulps: _around((n + half) * 1e-12, ulps) * PI,
+              st.integers(-10**4, 10**4), st.sampled_from([0.0, 0.5]), _ULPS),
+    st.builds(lambda j, ulps: _around(j * PI, ulps), st.integers(-12, 12), _ULPS),
+    st.builds(lambda j, ulps: _around(j * PI - 1e-12 * PI, ulps), st.integers(-12, 12), _ULPS),
+)
+
+
+class TestRotationKeyMemo:
+    """``make`` canonicalizes through a bounded per-process memo, which must
+    return what the uncached body returns, to the sign of a zero."""
+
+    @given(memo_angles, memo_angles)
+    @settings(max_examples=500)
+    def test_the_memo_returns_the_uncached_key(self, phi, gamma):
+        fresh = isa._canonical_key.__wrapped__(float(phi), float(gamma))
+        for _ in range(2):  # a miss, then a hit
+            key = RotationKey.make(phi, gamma)
+            assert [repr(f) for f in key] == [repr(f) for f in fresh]
+            assert [type(f) for f in key] == [float, float]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_angles_raise_and_are_never_cached(self, bad):
+        isa._canonical_key.cache_clear()
+        for _ in range(2):  # on an empty memo, then on a filled one
+            before = isa._canonical_key.cache_info()
+            for phi, gamma in ((bad, 0.5), (0.5, bad), (bad, bad)):
+                with pytest.raises(ValidationError, match="^rotation angles must be finite"):
+                    RotationKey.make(phi, gamma)
+            after = isa._canonical_key.cache_info()
+            assert (after.hits, after.misses, after.currsize) == (
+                before.hits, before.misses, before.currsize)
+            for i in range(50):
+                RotationKey.make(0.01 * i, 0.5)
+
+    def test_the_memo_is_bounded(self):
+        assert isa._canonical_key.cache_info().maxsize == 1024
+        for i in range(3000):
+            RotationKey.make(0.0, 1e-3 * i)
+        assert isa._canonical_key.cache_info().currsize <= 1024
 
 
 finite_keys = st.builds(RotationKey.make, st.floats(-50, 50), st.floats(-50, 50))
@@ -315,6 +384,19 @@ class TestAssembly:
     def test_comments_and_blanks_ignored(self):
         p = parse_program("# preamble\n\nreset q0  # trailing\n")
         assert p.slots[0].instructions[0] == Reset(0)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("inner", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"],
+                             ids=["ff", "vt", "fs", "gs", "rs", "nel", "ls", "ps"])
+    def test_only_newlines_end_a_line(self, newline, inner):
+        """Lines end at \\n, \\r\\n and \\r, as open() reads them; the other
+        breaks str.splitlines knows are whitespace inside a line."""
+        text = newline.join([f"rxy q0, 0.0, 0.5{inner}", f"rxy q1, 0.0, 0.5 {inner}# note",
+                             "bogus q0", ""])
+        with pytest.raises(ParseError, match=r"^line 3: unknown mnemonic 'bogus'$"):
+            parse_program(text)
+        assert len(parse_program(text.replace("bogus q0", "reset q0")).slots) == 3
 
     def test_measure_register(self):
         p = parse_program("measure q1 -> q1mZ\n")
