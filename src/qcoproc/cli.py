@@ -238,8 +238,10 @@ class _RotationFragments(dict):
 def paging_report_parts(config: workload.ExperimentConfig) -> list[str]:
     """The paging trace of ``config`` as a list of strings whose concatenation
     is, byte for byte, what ``json.dumps(body, indent=2, sort_keys=True) + "\\n"``
-    prints.  The parts share each pass's formatted text, so they take about
-    0.12 KB of memory per run, where the document holds 2-10 KB per run.
+    prints.  The parts share each pass's formatted text across the k it
+    stands for: about 0.12 KB of memory per run at n_steps 1000, where the
+    document holds 2-10 KB per run, but as much as the document at n_steps
+    1, where no pass is shared.
 
     ``body`` holds the capacity, one run per (w, realization, k) program
     (its w, realization, k and ``PageReport.to_json_dict()``) and the total

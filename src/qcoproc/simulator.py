@@ -17,17 +17,18 @@ Measurement records either exact probabilities (no collapse, the default for
 the deterministic experiment pipeline) or per-shot sampled bits with collapse.
 Sampling is vectorized over shots (``draw_shots``) when every measurement is terminal.
 
-``sweep_probabilities`` is the engine behind the disorder sweep.  It takes a
-head, a tail and a sequence of repeated intervals of unitary slots, builds the
-map of the head and of the tail once and the maps of all intervals together,
-one slot position at a time as a stack (a slot that every interval shares at
-a position is built once), and steps the states of all intervals together,
-k = 0..N, with one stacked product per k.  numpy multiplies each matrix of a
-stack on its own, so a row of the result equals a call on its interval alone,
-bit for bit.  Of each state at measurement it keeps the amplitudes, or the
-diagonal of rho, and reads the probabilities of all of them in one checked
-call.  The ideal engine multiplies slot unitaries; the noisy one multiplies
-superoperators on a row-major vec(rho), each a slot's decay map (``_decay``
+``sweep_probabilities`` is the engine behind the disorder sweep.  It takes one
+``(head, interval, tail)`` of unitary slots per realization, the interval
+repeated k times, and builds the maps of all heads, all intervals and all
+tails together, one slot position at a time as a stack (a slot that every
+realization shares at a position is built once, so a shared head or tail is
+one map), and steps the states of all realizations together, k = 0..N, with
+one stacked product per k, in chunks that bound the stacks it holds.  numpy
+multiplies each matrix of a stack on its own, so a row of the result equals a
+call on its realization alone, bit for bit.  Of each state at measurement it
+keeps the amplitudes, or the diagonal of rho, and reads the probabilities of
+all of them in one checked call.  The ideal engine multiplies slot unitaries;
+the noisy one multiplies superoperators on a row-major vec(rho), each a slot's decay map (``_decay``
 applied to every basis matrix) times kron(U, conj(U)).
 ``run_ideal`` and ``run_noisy`` stay the per-program oracle.
 """
@@ -435,33 +436,50 @@ def _decay_map(noise: NoiseParams, duration: float, n_qubits: int) -> np.ndarray
     return _slot_decay(basis, n_qubits, noise, duration).reshape(size, size).T
 
 
-def sweep_probabilities(head, intervals, tail, n_steps: int, n_qubits: int,
+# The sweep's unit of working memory.  ``workload._imbalance_curves`` calls the
+# engine in blocks of about this many (realization, k) points: a realization
+# counts as its n_steps + 1 points plus 15 for its step matrix and interval,
+# which bounds a block's rows, n_steps 0 included.  The engine builds and steps
+# at most this many map entries' worth of realizations at once (256 ideal, 16
+# noisy), which bounds the few (n, 16, 16) stacks of a noisy build: 4 096
+# noisy realizations at n_steps 0 (blocks of 256) peak near 1.2 MB traced,
+# where building a block's maps at once would take 4.9 MB.  The default
+# config's 120 realizations fit in one block.
+_BLOCK_POINTS = 4096
+
+
+def sweep_probabilities(evolutions, n_steps: int, n_qubits: int,
                         noise: NoiseParams | None = None) -> np.ndarray:
     """Basis probabilities at measurement of head + k * interval + tail,
-    started from |0...0>, for every interval of ``intervals`` and
-    k = 0..n_steps: an array of shape (len(intervals), n_steps + 1, 2**n).
+    started from |0...0>, for every ``(head, interval, tail)`` of
+    ``evolutions``, three tuples of unitary slots, and k = 0..n_steps: an
+    array of shape (len(evolutions), n_steps + 1, 2**n).
 
-    The slots must be unitary (a reset of the |0...0> start is the identity and
-    is left to the caller), and the intervals of one length, with slots of one
-    shape at each position (see ``isa.slot_unitaries``).  Without ``noise``
-    each state is a vector stepped by its interval's unitary; with it, a
-    row-major vec(rho) stepped by its interval's superoperator, each slot's
-    map being its T1/T2 decay times kron(U, conj(U)), as ``run_noisy``
-    applies them.  The head, the tail and the decay maps are built once per
-    call.  The intervals' maps are built one slot position at a time, on a
-    stack that starts as the identity: a position that holds one shared slot
-    object multiplies by that slot's single map, broadcast over the stack;
-    any other position by a stack of slot maps built in one pass.  All states
-    step together, one stacked product per k for the intervals, into a
-    preallocated buffer, and one for the rows of the tail map that
-    measurement reads, the amplitudes or the diagonal of rho, straight into
-    the record of k; never a whole vec(rho) is kept.  numpy multiplies each
-    matrix of a stack on its own, so row i equals a call on ``intervals[i]``
-    alone, bit for bit.  The probabilities are read in one checked call.
+    A reset of the |0...0> start is the identity and is left to the caller.
+    The heads, the intervals and the tails must each be of one length, with
+    slots of one shape at each position (see ``isa.slot_unitaries``).
+    Without ``noise`` each state is a vector stepped by its interval's
+    unitary; with it, a row-major vec(rho) stepped by its interval's
+    superoperator, each slot's map being its T1/T2 decay times
+    kron(U, conj(U)), as ``run_noisy`` applies them.  The decay maps are built
+    once per call.  The evolutions run in chunks of ``_BLOCK_POINTS`` map
+    entries' worth (see there).  A chunk's heads, intervals and tails are
+    each built one slot position at a time, on a stack that starts as the
+    identity: a position that holds one shared slot object multiplies by
+    that slot's single map, broadcast over the stack; any other position by
+    a stack of slot maps built in one pass.  So a head or a tail that every evolution
+    shares is one map.  The chunk's states step together, one stacked product
+    per k for the intervals, into a preallocated buffer, and one for the rows
+    of the tail maps that measurement reads, the amplitudes or the diagonal
+    of rho, straight into the record of k; never a whole vec(rho) is kept.
+    numpy multiplies each matrix of a stack on its own, so row i equals a
+    call on ``evolutions[i]`` alone, bit for bit.  The probabilities are read
+    in one checked call.
     """
-    lengths = sorted({len(interval) for interval in intervals})
-    if len(lengths) > 1:
-        raise ValidationError(f"intervals must be of one length, got lengths {lengths}")
+    for name, parts in zip(("heads", "intervals", "tails"), zip(*evolutions)):
+        lengths = sorted({len(part) for part in parts})
+        if len(lengths) > 1:
+            raise ValidationError(f"{name} must be of one length, got lengths {lengths}")
     dim = 1 << n_qubits
     if noise is None:
         size, what, kept = dim, "state norm", slice(None)
@@ -492,21 +510,24 @@ def sweep_probabilities(head, intervals, tail, n_steps: int, n_qubits: int,
             return slot_map(slot_unitary(first, n_qubits), first)
         return slot_map(slot_unitaries(slots, n_qubits), first)
 
-    def product(positions):
-        return ordered_product(map(position_map, positions), size)
+    def product(parts):
+        """The maps of ``parts``, one tuple of slots per evolution."""
+        return ordered_product(map(position_map, zip(*parts)), size)
 
-    steps = product(zip(*intervals))
-    state = np.zeros((len(intervals), size, 1), dtype=complex)  # a column per interval
-    state[:, 0] = 1.0
-    state = product(zip(head)) @ state
-    rows = product(zip(tail))[kept]  # the rows of the tail map that measurement reads
+    chunk = max(1, _BLOCK_POINTS // (size * size))
     # k first, so that each k's product fills one contiguous block
-    measured = np.empty((n_steps + 1, len(intervals), dim, 1), dtype=complex)
-    following = np.empty_like(state)
-    for k in range(n_steps + 1):
-        np.matmul(rows, state, out=measured[k])
-        np.matmul(steps, state, out=following)
-        state, following = following, state
+    measured = np.empty((n_steps + 1, len(evolutions), dim, 1), dtype=complex)
+    for start in range(0, len(evolutions), chunk):
+        heads, intervals, tails = zip(*evolutions[start:start + chunk])
+        steps = product(intervals)
+        # the heads' maps applied to |0...0>: their first columns, one per evolution
+        state = np.array(np.broadcast_to(product(heads)[..., :1], (len(intervals), size, 1)))
+        rows = product(tails)[..., kept, :]  # the rows of the tail maps that measurement reads
+        following = np.empty_like(state)
+        for record in measured[:, start:start + chunk]:
+            np.matmul(rows, state, out=record)
+            np.matmul(steps, state, out=following)
+            state, following = following, state
     return _checked_probabilities(np.ascontiguousarray(read(measured[..., 0]).swapaxes(0, 1)),
                                   what)
 
@@ -525,14 +546,17 @@ def hamiltonian_matrix(w: float, h0x: float, h0z: float, h1x: float, h1z: float)
                     + h0z * embed({0: Z}, 2) + h1z * embed({1: Z}, 2))
 
 
-def evolution_operator(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) via eigendecomposition, with a unitarity self-check at 1e-12."""
+def evolution_operator(H: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """exp(-iHt) via eigendecomposition, with a unitarity self-check at 1e-12;
+    for an array of times, the stack of exp(-iHt) over them from one ``eigh``,
+    every matrix checked."""
     # both checks are written so that NaN fails them
     if not np.max(np.abs(H - H.conj().T)) <= 1e-12:
         raise QcoprocError("Hamiltonian must be Hermitian")
     evals, evecs = np.linalg.eigh(H)
-    U = evecs @ np.diag(np.exp(-1j * evals * t)) @ evecs.conj().T
-    defect = np.max(np.abs(U.conj().T @ U - np.eye(len(evals))))
+    # evecs @ diag(exp(-i evals t)) @ evecs^H, one matrix per entry of t
+    U = (evecs * np.exp(-1j * np.multiply.outer(t, evals))[..., None, :]) @ evecs.conj().T
+    defect = np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(len(evals))))
     if not defect <= 1e-12:
         raise QcoprocError(f"propagator unitarity defect {defect:.3e}")
     return U

@@ -24,8 +24,8 @@ from . import simulator, wavemem
 from .compiler import CNOT, CRx, HALF_PI, Rx, Rz, SourceProgram
 from .errors import CapacityExceeded, QcoprocError, ValidationError, check_range
 from .isa import (CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, TimeSlot,
-                  basis_bit, program_segment_unitary, slot, slot_unitary)
-from .simulator import NoiseParams, StateVector, hamiltonian_matrix
+                  basis_bit, program_segment_unitary, slot)
+from .simulator import NoiseParams, hamiltonian_matrix
 
 DEFAULT_TAU = 0.04 * math.pi
 
@@ -94,7 +94,8 @@ def sample_disorder(w: float, tau: float, n_steps: int,
 
 # The fixed slots of every circuit: the resets and the parallel measurement
 # (source and native), and the native prologue that rotates the prepared state
-# into the working frame and the epilogue that rotates back.
+# into the working frame and the epilogue that rotates back, every
+# realization's head and tail in :func:`evolution`.
 _RESETS = (slot(Reset(0)), slot(Reset(1)))
 _PROLOGUE = slot(Rxy(0, RotationKey.make(0.0, HALF_PI)), Rxy(1, RotationKey.make(0.0, -HALF_PI)))
 _EPILOGUE = slot(Rxy(0, RotationKey.make(0.0, HALF_PI)), Rxy(1, RotationKey.make(0.0, HALF_PI)))
@@ -143,39 +144,43 @@ def _tau_slots(tau: float) -> tuple[TimeSlot, ...]:
     )
 
 
-def _interval_slots(r: DisorderRealization) -> tuple[TimeSlot, ...]:
-    """One native evolution interval: 10 single-qubit rotations and 4 cZ."""
+@lru_cache(maxsize=1)
+def evolution(r: DisorderRealization):
+    """The realization's evolution as ``(head, interval, tail)``, three tuples
+    of slots: the head rotates the prepared state into the working frame, the
+    interval (10 Rxy + 4 cZ) is one Trotter step, repeated k times, and the
+    tail rotates back before measurement.  The last realization's is kept, so
+    the k = 0 and k = 1 programs that the paging stream builds for one
+    realization share one build of its interval."""
     w, tau = r.w, r.tau
     key = RotationKey.make
-    return (
+    interval = (
         slot(Rxy(0, key(HALF_PI, 2 * w * r.h0y * tau)), Rxy(1, key(HALF_PI, -HALF_PI))),
         *_tau_slots(tau),
         slot(Rxy(1, key(HALF_PI, HALF_PI + 2 * w * r.h1y * tau))),
         slot(Rxy(0, key(0.0, 2 * w * r.h0x * tau)), Rxy(1, key(0.0, 2 * w * r.h1x * tau))),
     )
+    return (_PROLOGUE,), interval, (_EPILOGUE,)
 
 
 def build_native_circuit(r: DisorderRealization, k: int) -> QuantumProgram:
-    """Native circuit for step k, as the coprocessor runs it.
-
-    Prologue rotates the prepared state into the working frame, every interval
-    is 10 Rxy + 4 cZ, the epilogue rotates back before parallel measurement.
-    """
+    """Native circuit for step k, as the coprocessor runs it: the resets,
+    :func:`evolution`'s head, k intervals and tail, and parallel measurement."""
     check_range("k", k, 0, r.n_steps)
-    interval = _interval_slots(r) if k else ()
-    slots = _RESETS + (_PROLOGUE,) + interval * k + (_EPILOGUE, _MEASURE)
-    return QuantumProgram(n_qubits=2, slots=slots)
+    head, interval, tail = evolution(r)
+    return QuantumProgram(n_qubits=2, slots=_RESETS + head + interval * k + tail + (_MEASURE,))
 
 
 def trotter_interval_unitary(r: DisorderRealization) -> np.ndarray:
-    """Unitary of one native interval, conjugated back to the z frame.
+    """Unitary of one native interval, conjugated back to the z frame through
+    the tail, Rx(pi/2) on both qubits.
 
     Comparable (up to O(tau^2) Trotter error and global phase) to
     exp(-i H tau) with H = hamiltonian_matrix(w, h0x, h0y, h1x, h1y).
     """
-    interval = QuantumProgram(n_qubits=2, slots=_interval_slots(r))
-    leave = slot_unitary(_EPILOGUE, 2)  # the working frame's exit, Rx(pi/2) on both
-    return leave @ program_segment_unitary(interval) @ leave.conj().T
+    _, interval, tail = evolution(r)
+    leave = program_segment_unitary(QuantumProgram(2, tail))
+    return leave @ program_segment_unitary(QuantumProgram(2, interval)) @ leave.conj().T
 
 
 def imbalance(p0: float | np.ndarray, p1: float | np.ndarray) -> float | np.ndarray:
@@ -325,20 +330,10 @@ class ExperimentResult:
                 "capacity": self.config.capacity}
 
 
-# The sweep engine runs the realizations in blocks of about this many
-# (realization, k) points: a realization counts as its n_steps + 1 points
-# plus 15 for its step matrix and interval, which bounds a block's rows and
-# step matrices, n_steps 0 included.  The few (n, 16, 16) stacks that the
-# noisy backend holds while it builds a block's interval maps are not
-# counted: 4 096 noisy realizations at n_steps 0 (blocks of 256) peak near
-# 4.7 MB traced.  The default config's 120 realizations fit in one block.
-_BLOCK_POINTS = 4096
-
-
 def _imbalance_curves(rs, config: ExperimentConfig,
                       noise: NoiseParams | None) -> np.ndarray:
     """I(k) for k = 0..N of each realization of ``rs`` (of ``config``), one
-    row each, from the sweep engine in blocks of about ``_BLOCK_POINTS``
+    row each, from the sweep engine in blocks of about ``simulator._BLOCK_POINTS``
     (realization, k) points.
 
     Row i equals running every ``build_native_circuit(rs[i], k)`` on
@@ -346,13 +341,12 @@ def _imbalance_curves(rs, config: ExperimentConfig,
     are identities, and sampled mode draws the same shots from the same seeds,
     by ``simulator.draw_shots``.  Every point of a block is reduced at once.
     """
-    per_block = max(1, _BLOCK_POINTS // (config.n_steps + 16))
+    per_block = max(1, simulator._BLOCK_POINTS // (config.n_steps + 16))
     bits = np.array([basis_bit(0, 2), basis_bit(1, 2)])
     curves = np.empty((len(rs), config.n_steps + 1))
     for start in range(0, len(rs), per_block):
         block = rs[start:start + per_block]
-        probs = simulator.sweep_probabilities((_PROLOGUE,), [_interval_slots(r) for r in block],
-                                              (_EPILOGUE,), config.n_steps, 2, noise)
+        probs = simulator.sweep_probabilities(list(map(evolution, block)), config.n_steps, 2, noise)
         if config.measurement_mode == "sampled":
             p0, p1 = np.empty((2,) + probs.shape[:2])
             for i, r in enumerate(block):
@@ -473,12 +467,12 @@ def realizations_json(result: ExperimentResult):
 
 def exact_imbalance_curve(r: DisorderRealization) -> list[float]:
     """Imbalance under the exact (non-Trotterized) evolution, via the
-    eigendecomposition oracle; reference curve for convergence studies."""
+    eigendecomposition oracle, every k from one ``eigh``; reference curve for
+    convergence studies."""
     H = hamiltonian_matrix(r.w, r.h0x, r.h0y, r.h1x, r.h1y)
+    U = simulator.evolution_operator(H, r.tau * np.arange(r.n_steps + 1))
+    bits = np.array([basis_bit(0, 2), basis_bit(1, 2)])
     # q0 = |1>, q1 = |0>: the one basis state with bit 0 set and bit 1 clear
-    initial = StateVector(2, (basis_bit(0, 2) > basis_bit(1, 2)).astype(complex))
-    curve = []
-    for k in range(r.n_steps + 1):
-        state = simulator.exact_evolution(H, k * r.tau, initial)
-        curve.append(imbalance(state.prob_one(0), state.prob_one(1)))
-    return curve
+    amplitudes = U @ (bits[0] > bits[1]).astype(complex)
+    p0, p1 = np.clip(np.abs(amplitudes) ** 2 @ bits.T, 0.0, 1.0).T
+    return imbalance(p0, p1).tolist()

@@ -1,5 +1,6 @@
 """Command-line surface: every subcommand, exit codes, byte-level determinism."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -29,6 +30,35 @@ def small_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(body))
     return path
+
+
+def _readme_source(tmp_path) -> Path:
+    """The README's assembly example, as a file."""
+    readme = (REPO / "README.md").read_text().split("## Assembly format")[1]
+    src = tmp_path / "source.qasm"
+    src.write_text(readme.split("```\n")[1])
+    return src
+
+
+# The bytes of the native text: `gen` of one realization at k 10, at k 0 and
+# with a given h0x, and `compile` of the README's example.  They come from
+# Python float arithmetic and numpy's seeded draws alone, as the paging
+# report's pinned sha256 does, so they do not depend on the BLAS.
+@pytest.mark.parametrize("argv, digest", [
+    (("gen", "--w", "25", "--k", "10", "--seed", "3"),
+     "f3e5f1a462cd96a16115439f3af51ad014f9ebf192273ae74207e9cb1eae3518"),
+    (("gen", "--w", "25", "--k", "0", "--seed", "3"),
+     "a8b6e79a0e1d8bb65a71677613bbd362c9e87e483941382dd646b723a516b0d8"),
+    (("gen", "--w", "25", "--k", "10", "--seed", "3", "--h0x", "0.5"),
+     "985dcfff79b841e89754111c75ddadbf4071af443212928788de357b9e0ad094"),
+    (("compile", "README"),
+     "d85b341d6fe5e8dffd952231f5ae10bd8f5ff8e0e5d6e3dc63a5e8f16c3b849f"),
+], ids=["gen-k10", "gen-k0", "gen-h0x", "compile-readme"])
+def test_native_text_bytes_are_pinned(tmp_path, argv, digest):
+    argv = [str(_readme_source(tmp_path)) if a == "README" else a for a in argv]
+    out = tmp_path / "out.qasm"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestGen:
@@ -153,11 +183,8 @@ class TestCompile:
         (("--passes", "frame-rotate"), README_FRAME_ROTATED),
     ])
     def test_readme_example_output_is_pinned(self, tmp_path, passes, expected):
-        readme = (REPO / "README.md").read_text().split("## Assembly format")[1]
-        src = tmp_path / "source.qasm"
-        src.write_text(readme.split("```\n")[1])
         out = tmp_path / "out.qasm"
-        assert run_cli("compile", str(src), *passes, "--out", str(out)) == 0
+        assert run_cli("compile", str(_readme_source(tmp_path)), *passes, "--out", str(out)) == 0
         assert out.read_text() == expected
 
     def test_parse_error_exit_code(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoproc import wavemem
+from qcoproc import wavemem, workload
 from qcoproc.wavemem import program_rotation_keys
 from qcoproc.workload import (DEFAULT_TAU, ExperimentConfig, build_native_circuit,
                               paged_programs, sample_disorder)
@@ -73,6 +73,17 @@ def test_stream_scans_each_realization_once(monkeypatch, per_program_replay, n_s
     list(per_program_replay(config))
     assert n_scans == 2 * 3
     assert stream_registry.keys() == registries[-1].keys()
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 4])
+def test_stream_builds_each_realizations_evolution_once(n_steps):
+    """The k = 0 and k = 1 programs of a realization share one build of its
+    ``evolution``."""
+    config = ExperimentConfig(w_values=(1.0, 25.0), n_realizations=3, n_steps=n_steps)
+    workload.evolution.cache_clear()
+    list(paged_programs(config))
+    info = workload.evolution.cache_info()
+    assert (info.misses, info.hits) == (2 * 3, 2 * 3 * min(n_steps, 1))
 
 
 def _count_page_updates(monkeypatch, config: ExperimentConfig) -> int:

@@ -302,6 +302,48 @@ class TestImbalance:
         ImbalanceSeries(w=1.0, mean=edge, stderr=(0.0, 0.0), per_realization=(edge,))
 
 
+def _per_k_exact_curve(r: DisorderRealization) -> list[float]:
+    """The oracle curve by the per-k loop it replaced: one ``exact_evolution``
+    of q0 = |1>, q1 = |0> per k, each P read by ``prob_one``."""
+    H = hamiltonian_matrix(r.w, r.h0x, r.h0y, r.h1x, r.h1y)
+    initial = simulator.StateVector(2, np.array([0, 1, 0, 0], dtype=complex))
+    states = (simulator.exact_evolution(H, k * r.tau, initial) for k in range(r.n_steps + 1))
+    return [imbalance(state.prob_one(0), state.prob_one(1)) for state in states]
+
+
+class TestExactOracle:
+    @given(*_INTERVALS, st.integers(0, 60))
+    @settings(deadline=None)
+    def test_curve_equals_per_k_loop(self, w, tau, fields, n_steps):
+        r = DisorderRealization(w, tau, n_steps, *fields)
+        np.testing.assert_allclose(exact_imbalance_curve(r), _per_k_exact_curve(r),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_curve_equals_per_k_loop_where_the_triplet_is_degenerate(self, seed):
+        """At w = 0, H is the exchange alone: its triplet is three-fold
+        degenerate, and the curve is cos(4 t)."""
+        r = sample_disorder(0.0, DEFAULT_TAU, 200, np.random.default_rng(seed))
+        assert np.allclose(np.linalg.eigvalsh(hamiltonian_matrix(0, 0, 0, 0, 0)), [-3, 1, 1, 1])
+        curve = exact_imbalance_curve(r)
+        np.testing.assert_allclose(curve, _per_k_exact_curve(r), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(curve, np.cos(4 * DEFAULT_TAU * np.arange(201)),
+                                   rtol=0, atol=1e-12)
+
+    def test_operator_over_times_is_one_operator_per_time(self):
+        H = hamiltonian_matrix(25.0, 0.4, -0.3, 0.2, -0.1)
+        times = DEFAULT_TAU * np.arange(7)
+        stack = evolution_operator(H, times)
+        assert stack.shape == (7, 4, 4)
+        for t, U in zip(times, stack):
+            np.testing.assert_allclose(U, evolution_operator(H, t), rtol=0, atol=1e-14)
+
+    def test_operator_checks_every_matrix_of_the_stack(self):
+        H = hamiltonian_matrix(1.0, 0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(QcoprocError, match="^propagator unitarity defect nan$"):
+            evolution_operator(H, np.array([0.0, 1.0, math.nan]))
+
+
 class TestExperiment:
     def test_single_clean_realization_matches_exact_trotter(self):
         """w=0: the circuit imbalance equals the exchange-only Trotter value,
