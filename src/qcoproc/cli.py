@@ -4,7 +4,8 @@ Subcommands: gen, compile, run, experiment, trajectory, paging-report.
 Every command is deterministic given its full flag set (seeds included).
 
 Exit codes: 0 success, 6 I/O failure, and otherwise the ``exit_code`` of the
-raised ``qcoproc.errors`` class (1 to 5).
+raised ``qcoproc.errors`` class (1 to 5); a malformed command line is a
+``ParseError``, exit 2.
 """
 
 from __future__ import annotations
@@ -289,9 +290,17 @@ def cmd_paging_report(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ``ParseError``, which ``main``
+    prints in one line and returns as exit 2; its subcommands' parsers are
+    of this class too."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qcoproc",
-                                     description="two-qubit coprocessor toolkit")
+    parser = _ArgumentParser(prog="qcoproc", description="two-qubit coprocessor toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -353,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except QcoprocError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ subclass that declares none exits as its base does:
 
 * ``QcoprocError``: any other error, e.g. a gate a compiler pass cannot
   handle, or a non-Hermitian Hamiltonian;
-* ``ParseError``: text that does not conform to its grammar; in program text
-  it names its line, as a ``ValidationError`` there does;
+* ``ParseError``: text that does not conform to its grammar, a command line
+  included; in program text it names its line, as a ``ValidationError``
+  there does;
 * ``ValidationError``: a program, configuration or argument that violates a
   rule; :func:`check_range` is the one bound rule of every integer setting;
 * ``NonUnitarySlot``: a unitary was asked of measure/reset, which

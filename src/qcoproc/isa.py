@@ -371,15 +371,16 @@ def _parse_qubit(tok: str) -> int:
 
 
 def _parse_angle(tok: str) -> float:
-    """An angle in units of pi whose value in radians is finite: 1e308 parses
-    as a float but overflows to inf once multiplied by pi."""
+    """An ASCII decimal angle in units of pi whose value in radians is finite:
+    1e308 parses as a float but overflows to inf once multiplied by pi, and
+    ``float`` also reads digit separators and any Unicode decimal digit."""
+    tok = tok.strip()
     try:
-        angle = float(tok.strip())
+        angle = float(tok) if tok.isascii() and "_" not in tok else math.nan
     except ValueError:
         angle = math.nan  # reported below, as inf and nan are
     if not math.isfinite(angle * math.pi):
-        raise ParseError("expected an angle in units of pi that is finite in radians, "
-                         f"got {tok.strip()!r}")
+        raise ParseError(f"expected an angle in units of pi that is finite in radians, got {tok!r}")
     return angle
 
 

@@ -320,7 +320,7 @@ def run_noisy(program: QuantumProgram, noise: NoiseParams, mode: str = "exact",
               n_avg: int = 1000, seed: int | None = None) -> MeasurementRecord:
     """Execute on the density-matrix backend with T1/T2 decay after every slot."""
     _validate_program(program)
-    _check_noise_covers(noise, program.n_qubits)
+    check_noise_covers(noise, program.n_qubits)
     return _run(program, DensityMatrix.ground,
                 lambda rho, s: _apply_slot_noise(rho, s, noise), mode, n_avg, seed)
 
@@ -387,7 +387,8 @@ def _apply_slot(state: State, s: TimeSlot, registers: dict,
 # --- T1/T2 decay -------------------------------------------------------------------
 
 
-def _check_noise_covers(noise: NoiseParams, n_qubits: int) -> None:
+def check_noise_covers(noise: NoiseParams, n_qubits: int) -> None:
+    """The qubit-count rule of a noisy run, the sweep engine and a config."""
     if len(noise.t1) < n_qubits:
         raise ValidationError(f"noise parameters cover {len(noise.t1)} qubits, "
                               f"program uses {n_qubits}")
@@ -490,7 +491,7 @@ def sweep_probabilities(evolutions, n_steps: int, n_qubits: int,
         def read(amplitudes):
             return np.abs(amplitudes) ** 2
     else:
-        _check_noise_covers(noise, n_qubits)
+        check_noise_covers(noise, n_qubits)
         size, what, kept = dim * dim, "density matrix trace", slice(None, None, dim + 1)
         decay: dict = {}
 

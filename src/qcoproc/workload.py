@@ -190,6 +190,15 @@ def imbalance(p0: float | np.ndarray, p1: float | np.ndarray) -> float | np.ndar
     return p0 - p1
 
 
+# The basis bits of q0 and q1 over the two-qubit basis, one row each.
+_BITS = np.array([basis_bit(0, 2), basis_bit(1, 2)])
+
+
+def _read_imbalance(probs: np.ndarray) -> np.ndarray:
+    """I of basis probabilities on the last axis, each P(|1>) clipped to [0, 1]."""
+    return imbalance(*np.moveaxis(np.clip(probs @ _BITS.T, 0.0, 1.0), -1, 0))
+
+
 @dataclass(frozen=True)
 class GateCensus:
     single_qubit: int
@@ -258,6 +267,8 @@ class ExperimentConfig:
         check_range("capacity", self.capacity, 1)
         if self.backend not in ("ideal", "noisy"):
             raise ValidationError(f"unknown backend {self.backend!r}")
+        if self.noise is not None:  # on either backend: a file is valid for every command or none
+            simulator.check_noise_covers(self.noise, 2)
         check_range("points (len(w_values) x n_realizations x (n_steps + 1))",
                     len(self.w_values) * self.n_realizations * (self.n_steps + 1), 1, MAX_POINTS)
 
@@ -330,19 +341,19 @@ class ExperimentResult:
                 "capacity": self.config.capacity}
 
 
-def _imbalance_curves(rs, config: ExperimentConfig,
-                      noise: NoiseParams | None) -> np.ndarray:
+def _imbalance_curves(rs, config: ExperimentConfig) -> np.ndarray:
     """I(k) for k = 0..N of each realization of ``rs`` (of ``config``), one
     row each, from the sweep engine in blocks of about ``simulator._BLOCK_POINTS``
     (realization, k) points.
 
     Row i equals running every ``build_native_circuit(rs[i], k)`` on
-    ``run_ideal`` (no ``noise``) or ``run_noisy``: the resets of the |00> start
-    are identities, and sampled mode draws the same shots from the same seeds,
+    ``run_ideal``, or on ``run_noisy`` with the config's noise (the chip's
+    measured values when it has none): the resets of the |00> start are
+    identities, and sampled mode draws the same shots from the same seeds,
     by ``simulator.draw_shots``.  Every point of a block is reduced at once.
     """
+    noise = None if config.backend == "ideal" else config.noise or NoiseParams.octobox_defaults()
     per_block = max(1, simulator._BLOCK_POINTS // (config.n_steps + 16))
-    bits = np.array([basis_bit(0, 2), basis_bit(1, 2)])
     curves = np.empty((len(rs), config.n_steps + 1))
     for start in range(0, len(rs), per_block):
         block = rs[start:start + per_block]
@@ -352,10 +363,10 @@ def _imbalance_curves(rs, config: ExperimentConfig,
             for i, r in enumerate(block):
                 for k, p in enumerate(probs[i]):
                     shots = simulator.draw_shots(p, config.n_avg, derive_seed(r.seed, 0, k))
-                    p0[i, k], p1[i, k] = bits[:, shots].mean(axis=1)
+                    p0[i, k], p1[i, k] = _BITS[:, shots].mean(axis=1)
+            curves[start:start + len(block)] = imbalance(p0, p1)
         else:
-            p0, p1 = np.moveaxis(np.clip(probs @ bits.T, 0.0, 1.0), -1, 0)
-        curves[start:start + len(block)] = imbalance(p0, p1)
+            curves[start:start + len(block)] = _read_imbalance(probs)
     return curves
 
 
@@ -405,16 +416,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     programs at once.  Deterministic for a given master seed.
     """
     result = ExperimentResult(config=config, series={})
-    noise = None
-    if config.backend == "noisy":
-        noise = config.noise if config.noise is not None else NoiseParams.octobox_defaults()
     realizations: list[DisorderRealization] = []  # in stream order
     for _, r, passes in paged_programs(config):
         realizations.append(r)
         for ks, report in passes:
             result.total_loads += len(ks) * len(report.loaded)
             result.total_hits += len(ks) * report.hits
-    curves = _imbalance_curves(realizations, config, noise)
+    curves = _imbalance_curves(realizations, config)
     curves.flags.writeable = False  # each series' rows are a view of it
 
     n = config.n_realizations
@@ -471,8 +479,6 @@ def exact_imbalance_curve(r: DisorderRealization) -> list[float]:
     convergence studies."""
     H = hamiltonian_matrix(r.w, r.h0x, r.h0y, r.h1x, r.h1y)
     U = simulator.evolution_operator(H, r.tau * np.arange(r.n_steps + 1))
-    bits = np.array([basis_bit(0, 2), basis_bit(1, 2)])
     # q0 = |1>, q1 = |0>: the one basis state with bit 0 set and bit 1 clear
-    amplitudes = U @ (bits[0] > bits[1]).astype(complex)
-    p0, p1 = np.clip(np.abs(amplitudes) ** 2 @ bits.T, 0.0, 1.0).T
-    return imbalance(p0, p1).tolist()
+    amplitudes = U @ (_BITS[0] > _BITS[1]).astype(complex)
+    return _read_imbalance(np.abs(amplitudes) ** 2).tolist()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcoproc import cli, isa, simulator, workload
+from qcoproc import __version__, cli, isa, simulator, workload
 from qcoproc.workload import gate_census
 
 REPO = Path(__file__).resolve().parent.parent
@@ -638,6 +638,12 @@ INVALID_INPUTS = {
         t, "rx q0, 0.5\n", "p.src"), "--passes", "schedule"], 1),
     "compile-reset-after-gate": (lambda t: ["compile", _text_file(
         t, "rx q0, 0.5\nreset q0\nmeasure q0 -> m\n", "p.src")], 1),
+    # a malformed command line, reported in one line as any other parse error
+    "argv-bad-value": (lambda t: ["gen", "--w", "abc", "--k", "1"], 2),
+    "argv-missing-flag": (lambda t: ["gen", "--k", "1", "--seed", "3"], 2),
+    "argv-unknown-flag": (lambda t: ["gen", "--w", "1", "--k", "1", "--seed", "3", "--bogus"], 2),
+    "argv-unknown-command": (lambda t: ["bogus"], 2),
+    "argv-no-command": (lambda t: [], 2),
 }
 
 
@@ -645,7 +651,7 @@ INVALID_INPUTS = {
 def test_invalid_input_exit_code_and_one_line_error(tmp_path, capsys, name):
     build, expected = INVALID_INPUTS[name]
     argv = [str(a) for a in build(tmp_path)]
-    if argv[0] in ("experiment", "paging-report"):
+    if argv[:1] in (["experiment"], ["paging-report"]):
         argv += ["--out", str(tmp_path / "out")]
     assert run_cli(*argv) == expected
     out, err = capsys.readouterr()
@@ -656,6 +662,7 @@ def test_invalid_input_exit_code_and_one_line_error(tmp_path, capsys, name):
 
 # the exact stderr of the rows that pin an order of checks
 INVALID_INPUT_MESSAGES = {
+    "argv-bad-value": "error: argument --w: invalid float value: 'abc'\n",
     "gen-seed-then-h0x-above": "error: h0x must lie in [-1, 1], got 2.0\n",
     "gen-seed-negative-before-h0x": "error: --seed must be >= 0, got -1\n",
     "points-above-cap": "error: points (len(w_values) x n_realizations x (n_steps + 1)) "
@@ -697,6 +704,55 @@ def test_sweep_past_points_bound_does_no_work(tmp_path, capsys, command):
     assert peak < 1 << 20
     assert capsys.readouterr().err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("experiment",), ("experiment", "--backend", "noisy"), ("paging-report",)],
+    ids=["experiment-ideal", "experiment-noisy", "paging-report"])
+def test_noise_of_one_qubit_is_rejected_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    """The sweep runs two qubits, so a noise block of one fails when the
+    config is built, before any realization is sampled, whichever backend
+    runs and whether anything simulates."""
+
+    def sample_disorder(*args, **kwargs):
+        raise AssertionError("a realization was sampled")
+
+    monkeypatch.setattr(workload, "sample_disorder", sample_disorder)
+    config = _text_file(tmp_path, json.dumps({"noise": {"t1": [28e-6], "t2": [4.2e-6]}}))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", str(config), "--out", str(out)) == 3
+    assert capsys.readouterr() == (
+        "", "error: noise parameters cover 1 qubits, program uses 2\n")
+    assert not out.exists()
+
+
+# an angle that float() reads but that is no ASCII decimal: a digit separator,
+# an Arabic-Indic digit one and a full-width digit zero
+_NON_ASCII_DECIMAL_ANGLES = ["1_0", "\u0661", "\uff10.5"]
+
+
+@pytest.mark.parametrize("angle", _NON_ASCII_DECIMAL_ANGLES)
+@pytest.mark.parametrize("command, statement", [
+    ("run", "rxy q0, {}, 0.5"), ("run", "rxy q0, 0.5, {}"), ("compile", "rx q0, {}"),
+    ("compile", "crx q0, q1, {}"), ("compile", "rxy q0, {}, 0.5")])
+def test_angles_are_ascii_decimals(tmp_path, capsys, command, statement, angle):
+    text = f"reset q1\n{statement.format(angle)}\nmeasure q0 -> m\n"
+    path = _bytes_file(tmp_path, text.encode(), "p.qasm")
+    assert run_cli(command, str(path), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr() == (
+        "", f"error: line 2: expected an angle in units of pi that is finite in radians, "
+            f"got {angle!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, text", [("--help", "usage: qcoproc [-h]"),
+                                        ("--version", f"{__version__}\n")])
+def test_help_and_version_print_and_exit_0(capsys, flag, text):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(flag)
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(text) and err == ""
 
 
 class TestTrajectory:

@@ -250,10 +250,26 @@ def test_imbalance_curve_equals_per_k_loop_exactly(default_realizations, backend
     noise = NoiseParams.octobox_defaults() if backend == "noisy" else None
     config = ExperimentConfig(backend=backend, noise=noise, measurement_mode=mode)
     assert len(default_realizations) == 120
-    curves = workload._imbalance_curves(default_realizations, config, noise)
+    curves = workload._imbalance_curves(default_realizations, config)
     assert curves.shape == (120, 11)
     for r, curve in zip(default_realizations, curves):
         assert curve.tolist() == _per_k_curve(r, config, noise)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_curves_take_their_noise_from_the_config(default_realizations, mode):
+    """The ideal backend ignores a noise block, the noisy one runs it, and
+    without one the noisy backend runs the chip's measured values."""
+    realizations = default_realizations[::12]
+    noise = NoiseParams(t1=(3e-6, 5e-6), t2=(2e-6, 9e-6))
+
+    def rows(**fields):
+        config = ExperimentConfig(measurement_mode=mode, n_avg=64, **fields)
+        return workload._imbalance_curves(realizations, config).tolist()
+
+    assert rows(backend="ideal", noise=noise) == rows(backend="ideal")
+    assert rows(backend="noisy") == rows(backend="noisy", noise=NoiseParams.octobox_defaults())
+    assert rows(backend="noisy", noise=noise) != rows(backend="noisy")
 
 
 def test_sweep_builds_only_the_shared_slots_through_the_slot_cache(default_realizations):
@@ -261,7 +277,7 @@ def test_sweep_builds_only_the_shared_slots_through_the_slot_cache(default_reali
     slots every realization shares, and the prologue and epilogue, are built
     one by one; the rest are stacks built outside the cache."""
     isa._slot_unitary_cached.cache_clear()
-    workload._imbalance_curves(default_realizations, ExperimentConfig(), None)
+    workload._imbalance_curves(default_realizations, ExperimentConfig())
     assert isa._slot_unitary_cached.cache_info().misses <= 10
 
 
@@ -345,7 +361,7 @@ def test_curves_of_several_blocks_equal_per_k_loop_exactly(monkeypatch, backend,
         return sweep(evolutions, *args)
 
     monkeypatch.setattr(simulator, "sweep_probabilities", counting_sweep)
-    curves = workload._imbalance_curves(realizations, config, noise)
+    curves = workload._imbalance_curves(realizations, config)
     assert blocks == [4, 4, 2]
     for r, curve in zip(realizations, curves):
         assert curve.tolist() == _per_k_curve(r, config, noise)
@@ -366,7 +382,7 @@ def test_sampled_sweep_draws_every_shot_through_the_backends_draw(monkeypatch, b
         return draw(probs, n_avg, seed)
 
     monkeypatch.setattr(simulator, "draw_shots", recording_draw)
-    curves = workload._imbalance_curves(realizations, config, noise)
+    curves = workload._imbalance_curves(realizations, config)
     assert len(calls) == len(realizations) * (config.n_steps + 1)
     assert calls == [(4, 16, derive_seed(r.seed, 0, k))
                      for r in realizations for k in range(config.n_steps + 1)]
@@ -385,7 +401,7 @@ def test_curves_peak_memory_stays_within_a_block():
     realizations = _realizations(400, config.n_steps)
     tracemalloc.start()
     try:
-        workload._imbalance_curves(realizations, config, noise)
+        workload._imbalance_curves(realizations, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,7 +418,7 @@ def test_curves_peak_memory_of_wide_noisy_blocks_stays_bounded():
     realizations = _realizations(4096, config.n_steps)
     tracemalloc.start()
     try:
-        workload._imbalance_curves(realizations, config, noise)
+        workload._imbalance_curves(realizations, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -492,6 +492,16 @@ class TestExperiment:
         with pytest.raises(ValidationError, match=field):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("backend", ["ideal", "noisy"])
+    def test_config_rejects_noise_of_one_qubit_before_the_points_bound(self, backend):
+        """The rule and message of the noisy run and the sweep engine, checked
+        on either backend and before the points bound; three qubits cover two."""
+        one, three = (simulator.NoiseParams(t1=(28e-6,) * n, t2=(4.2e-6,) * n) for n in (1, 3))
+        with pytest.raises(ValidationError,
+                           match=r"^noise parameters cover 1 qubits, program uses 2$"):
+            ExperimentConfig(backend=backend, noise=one, n_realizations=workload.MAX_POINTS)
+        assert ExperimentConfig(backend=backend, noise=three).noise == three
+
     @pytest.mark.parametrize("mode, n_avg, message", [
         ("shots", 1000, r"^unknown measurement mode 'shots'$"),
         ("shots", 0, r"^n_avg must lie in 1\.\.1000000, got 0$"),
