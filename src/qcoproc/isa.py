@@ -420,6 +420,9 @@ def parse_slots(text: str, statement_parser=_parse_statement) -> tuple[int, tupl
     reuses the slot object its first occurrence parsed to, for one dict lookup.
     Only a line seen for the first time has its comment and whitespace
     stripped; blank and comment-only lines are skipped and never memoized.
+    The statement text left after that must be ASCII (a comment may hold any
+    text), so a no-break space as a separator or a register named ``é`` is a
+    ``ParseError``, raised after the line has parsed.
     Lines end at ``\\n``, ``\\r\\n`` and ``\\r``, the newlines ``open()`` reads,
     so a form feed or U+2028 inside a line does not end it.  This is the one
     place that knows line numbers: a ``ParseError`` or ``ValidationError``
@@ -438,6 +441,9 @@ def parse_slots(text: str, statement_parser=_parse_statement) -> tuple[int, tupl
                 continue
             try:
                 s = _parse_line(stripped, statement_parser)
+                if not stripped.isascii():  # checked after the parse, so its messages come first
+                    bad = next(c for c in stripped if not c.isascii())
+                    raise ParseError(f"statement text must be ASCII, got U+{ord(bad):04X}")
                 for instr in s.instructions:
                     max_q = max(max_q, *instr.qubits)
                 if max_q >= MAX_QUBITS:

@@ -36,6 +36,7 @@ applied to every basis matrix) times kron(U, conj(U)).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,11 +259,8 @@ class MeasurementRecord:
 def _validate_program(program: QuantumProgram) -> None:
     if program.n_qubits < 1:
         raise ValidationError("program has no qubits")
-    seen: dict[str, int] = {}
-    for instr in program.instructions():
-        if isinstance(instr, Measure):
-            seen[instr.register] = seen.get(instr.register, 0) + 1
-    for name, count in seen.items():
+    measured = Counter(i.register for i in program.instructions() if isinstance(i, Measure))
+    for name, count in measured.items():  # in order of first measurement
         if count > 1:
             raise ValidationError(f"register {name!r} is measured {count} times")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
@@ -199,28 +200,11 @@ def _read_imbalance(probs: np.ndarray) -> np.ndarray:
     return imbalance(*np.moveaxis(np.clip(probs @ _BITS.T, 0.0, 1.0), -1, 0))
 
 
-@dataclass(frozen=True)
-class GateCensus:
-    single_qubit: int
-    two_qubit: int
-    measures: int
-    resets: int
-
-
-def gate_census(program: QuantumProgram) -> GateCensus:
-    """Count native instructions by kind (measure/reset reported separately)."""
-    counts = {"rxy": 0, "cz": 0, "measure": 0, "reset": 0}
-    for instr in program.instructions():
-        if isinstance(instr, Rxy):
-            counts["rxy"] += 1
-        elif isinstance(instr, CZ):
-            counts["cz"] += 1
-        elif isinstance(instr, Measure):
-            counts["measure"] += 1
-        else:
-            counts["reset"] += 1
-    return GateCensus(single_qubit=counts["rxy"], two_qubit=counts["cz"],
-                      measures=counts["measure"], resets=counts["reset"])
+def gate_census(program: QuantumProgram | SourceProgram) -> Counter:
+    """A program's instructions counted by class, native (``census[Rxy]``,
+    ``census[CZ]``, ``census[Measure]``, ``census[Reset]``) or source (``Rx``,
+    ``Rz``, ``CNOT``, ``CRx``) alike; a class the program lacks counts 0."""
+    return Counter(map(type, program.instructions()))
 
 
 # --- experiment runner -----------------------------------------------------------

@@ -22,7 +22,7 @@ from qcoproc.compiler import (decompose_cnot, decompose_crx, decompose_rz,
                               equivalence_check, frame_rotate_z_to_y, lower,
                               schedule)
 from qcoproc.errors import CapacityExceeded
-from qcoproc.isa import QuantumProgram, RotationKey, parse_program, slot
+from qcoproc.isa import CZ, QuantumProgram, RotationKey, Rxy, parse_program, slot
 from qcoproc.simulator import NoiseParams, evolution_operator, hamiltonian_matrix
 from qcoproc.workload import (DEFAULT_TAU, DisorderRealization, ExperimentConfig,
                               build_native_circuit, build_source_circuit,
@@ -58,13 +58,13 @@ def test_criterion_1_gate_census(tmp_path):
     assert cli.main(["gen", "--w", "25", "--k", "10", "--seed", "3",
                      "--out", str(out)]) == 0
     census = gate_census(parse_program(out.read_text()))
-    assert (census.two_qubit, census.single_qubit) == (40, 104)
+    assert (census[CZ], census[Rxy]) == (40, 104)
     rng = np.random.default_rng(0)
     r = sample_disorder(25.0, DEFAULT_TAU, 10, rng)
     for k in range(11):
         c = gate_census(build_native_circuit(r, k))
-        assert c.two_qubit == 4 * k
-        assert c.single_qubit == 10 * k + 4
+        assert c[CZ] == 4 * k
+        assert c[Rxy] == 10 * k + 4
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(f"PASS criterion 1: gate census 40/104 at k=10, 4k & 10k+4 for k=0..10 "

@@ -66,9 +66,8 @@ class TestGen:
         out = tmp_path / "circ.qasm"
         assert run_cli("gen", "--w", "25", "--k", "10", "--seed", "3",
                        "--out", str(out)) == 0
-        from qcoproc.isa import parse_program
-        census = gate_census(parse_program(out.read_text()))
-        assert (census.single_qubit, census.two_qubit) == (104, 40)
+        census = gate_census(isa.parse_program(out.read_text()))
+        assert (census[isa.Rxy], census[isa.CZ]) == (104, 40)
 
     def test_k0_file_shape(self, tmp_path):
         out = tmp_path / "k0.qasm"
@@ -675,9 +674,11 @@ INVALID_INPUT_MESSAGES["points-above-cap-paging"] = INVALID_INPUT_MESSAGES["poin
 @pytest.mark.parametrize("text, line", [
     (b"rxy q0, 0.0, 0.5\x0c\nrxy q1, 0.0, 0.5\nbogus q0\n", 3),
     ("rxy q0, 0.0, 0.5\u2028# note\nbogus q0\n".encode(), 2),
-], ids=["form-feed", "line-separator"])
+    ("rxy q0, 0.0, 0.5  # \u00e9\u00a0\u3000\nbogus q0\n".encode(), 2),
+], ids=["form-feed", "line-separator", "non-ascii-comment"])
 def test_run_names_the_line_an_editor_shows(tmp_path, capsys, text, line):
-    """A form feed or U+2028 inside a line does not end it."""
+    """A form feed or U+2028 inside a line does not end it, and a comment,
+    unlike a statement, may hold any text."""
     assert run_cli("run", str(_bytes_file(tmp_path, text, "p.qasm"))) == 2
     assert capsys.readouterr() == ("", f"error: line {line}: unknown mnemonic 'bogus'\n")
 
@@ -742,6 +743,28 @@ def test_angles_are_ascii_decimals(tmp_path, capsys, command, statement, angle):
     assert capsys.readouterr() == (
         "", f"error: line 2: expected an angle in units of pi that is finite in radians, "
             f"got {angle!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+# statements that parse but are not ASCII: a no-break space and an ideographic
+# space as separators, in a bare statement and in a parallel slot, a register
+# name that is an identifier but not ASCII, and both, where the first is named
+_NON_ASCII_STATEMENTS = [("rxy q0,\u00a00.5, 0", "U+00A0"), ("reset\u3000q0", "U+3000"),
+                         ("{ rxy q0, 0, 1\u00a0| rxy q1, 0, 1 }", "U+00A0"),
+                         ("measure q0 -> \u00e9", "U+00E9"),
+                         ("measure q0 ->\u00a0\u00e9", "U+00A0")]
+
+
+@pytest.mark.parametrize("statement, code_point", _NON_ASCII_STATEMENTS,
+                         ids=["no-break-space", "ideographic-space", "no-break-space-in-slot",
+                              "register", "first-of-two"])
+@pytest.mark.parametrize("command", ["run", "compile"])
+def test_statements_are_ascii(tmp_path, capsys, command, statement, code_point):
+    text = f"reset q1\n{statement}\n"
+    path = _bytes_file(tmp_path, text.encode(), "p.qasm")
+    assert run_cli(command, str(path), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr() == (
+        "", f"error: line 2: statement text must be ASCII, got {code_point}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -101,13 +101,22 @@ _BAD = st.sampled_from(["bogus q0", "rxy", "cz q0", "measure q0 ->", "->", "|", 
                         "cnot q0, q0"])
 
 
+def _non_ascii(line: str):
+    """``line`` with one of its spaces swapped for a no-break or an ideographic space."""
+    spaces = [i for i, c in enumerate(line) if c == " "]
+    return st.builds(lambda i, space: line[:i] + space + line[i + 1:],
+                     st.sampled_from(spaces), st.sampled_from(["\u00a0", "\u3000"]))
+
+
 @st.composite
 def _programs(draw, source: bool) -> str:
     """Lines of either grammar, given ``source``, with ``# note`` comments,
-    and at most one ``_BAD`` line."""
+    and at most one broken line: a ``_BAD`` line, or a valid one that is not
+    ASCII, through a swapped separator or a register named ``é``."""
     lines = draw(st.lists(_lines(source) | st.just("# note"), max_size=8))
+    bad = _BAD | _lines(source).flatmap(_non_ascii) | _QUBITS.map("measure {} -> \u00e9".format)
     if draw(st.booleans()):
-        lines.insert(draw(st.integers(0, len(lines))), draw(_BAD))
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
     return "".join(f"{text}\n" for text in lines)
 
 
@@ -187,8 +196,11 @@ def test_a_config_past_the_points_bound_exits_3_and_writes_nothing(config, comma
 @given(program=_programs(source=False), flags=_run_flags())
 def test_any_program_text_runs_or_exits_with_a_documented_code(program, flags):
     with tempfile.TemporaryDirectory() as directory:
-        _main("run", _file(directory, "p.qasm", program), *flags,
-              "--out", Path(directory) / "record.json")
+        code, err = _main("run", _file(directory, "p.qasm", program), *flags,
+                          "--out", Path(directory) / "record.json")
+    # shot flags without --mode sampled fail before the text is read
+    if not program.isascii() and (flags[3] == "sampled" or not {"--seed", "--n-avg"} & {*flags}):
+        assert code == 2 and "statement text must be ASCII" in err, err
 
 
 @settings(max_examples=150, deadline=None)
@@ -196,6 +208,8 @@ def test_any_program_text_runs_or_exits_with_a_documented_code(program, flags):
        tolerance=st.sampled_from([1e-9, 1e-3, 0.0, -1.0, math.nan, math.inf]))
 def test_any_program_text_compiles_or_exits_with_a_documented_code(program, passes, tolerance):
     with tempfile.TemporaryDirectory() as directory:
-        _main("compile", _file(directory, "p.src", program), "--tolerance", tolerance,
-              *([] if passes is None else ["--passes", passes]),
-              "--out", Path(directory) / "native.qasm")
+        code, err = _main("compile", _file(directory, "p.src", program), "--tolerance", tolerance,
+                          *([] if passes is None else ["--passes", passes]),
+                          "--out", Path(directory) / "native.qasm")
+    if not program.isascii() and tolerance > 0 and math.isfinite(tolerance):  # else it fails first
+        assert code == 2 and "statement text must be ASCII" in err, err

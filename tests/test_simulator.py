@@ -77,6 +77,15 @@ class TestRunIdeal:
         with pytest.raises(ValidationError, match="^register 'm' is measured 2 times$"):
             run_ideal(p)
 
+    @pytest.mark.parametrize("run", [run_ideal, lambda p: simulator.run_noisy(
+        p, NoiseParams.octobox_defaults())], ids=["ideal", "noisy"])
+    def test_first_repeated_register_by_first_measurement_is_named(self, run):
+        """'b' is measured first; 'a' is repeated first, more often, and sorts first."""
+        p = parse_program("measure q0 -> b\nmeasure q1 -> a\nmeasure q0 -> a\n"
+                          "measure q1 -> a\nmeasure q0 -> b\n")
+        with pytest.raises(ValidationError, match="^register 'b' is measured 2 times$"):
+            run(p)
+
     def test_sampled_mode_reproducible(self):
         p = parse_program("rxy q0, 0, 0.5\nmeasure q0 -> m\n")
         a = run_ideal(p, mode="sampled", n_avg=100, seed=42)

@@ -377,7 +377,7 @@ class TestAssignCodewords:
         page_update(program, rct, np.random.default_rng(0))
         stream = assign_codewords(program, rct)
         census = workload.gate_census(program)
-        assert (census.single_qubit, census.two_qubit) == (104, 40)
+        assert (census[Rxy], census[CZ]) == (104, 40)
         measure, reset = (rct.capacity + RESERVED_CODEWORDS[kind] for kind in (Measure, Reset))
         gate_stream = [cw for cw in stream if cw not in (measure, reset)]
         assert len(gate_stream) == 144

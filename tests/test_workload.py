@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from qcoproc import compiler, simulator, workload
 from qcoproc.compiler import frame_rotate_z_to_y, lower, schedule
 from qcoproc.errors import QcoprocError, ValidationError
-from qcoproc.isa import Measure, RotationKey, Rxy, embed
+from qcoproc.isa import CZ, Measure, Reset, RotationKey, Rxy, embed
 from qcoproc.simulator import evolution_operator, hamiltonian_matrix, run_ideal
 from qcoproc.wavemem import program_rotation_keys
 from qcoproc.workload import (DEFAULT_TAU, DisorderRealization, ExperimentConfig,
@@ -118,18 +119,31 @@ class TestSourceCircuit:
         with pytest.raises(ValidationError, match=r"^k must lie in 0\.\.5, got 6$"):
             build_source_circuit(realization(n_steps=5), 6)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("w", [0.0, 1.0, 25.0])
+    def test_census_of_source_and_compiled_circuits(self, w, seed):
+        """The source circuit counts each source gate under its own class, and
+        the compiled one 5 + 17k Rxy and 4k cZ: 175 and 40 at k = 10."""
+        r = realization(seed, w)
+        for k in (0, 1, 10):
+            source = build_source_circuit(r, k)
+            assert gate_census(source) == Counter({
+                Reset: 2, compiler.Rx: 1 + 2 * k, compiler.Rz: 3 * k, compiler.CNOT: 2 * k,
+                compiler.CRx: k, Measure: 2})
+            compiled = compiler.run_passes(source, compiler.PASSES)
+            assert gate_census(compiled) == Counter({
+                Reset: 2, Rxy: 5 + 17 * k, CZ: 4 * k, Measure: 2})
+
 
 class TestNativeCircuit:
     def test_census_formula(self):
         """Singles = 10k + 4, two-qubit = 4k, anchored at (104, 40) for k=10."""
         r = realization()
         for k in range(11):
-            census = gate_census(build_native_circuit(r, k))
-            assert census.single_qubit == 10 * k + 4
-            assert census.two_qubit == 4 * k
-            assert census.measures == 2 and census.resets == 2
+            assert gate_census(build_native_circuit(r, k)) == Counter({
+                Reset: 2, Rxy: 10 * k + 4, CZ: 4 * k, Measure: 2})
         deepest = gate_census(build_native_circuit(r, 10))
-        assert (deepest.single_qubit, deepest.two_qubit) == (104, 40)
+        assert (deepest[Rxy], deepest[CZ]) == (104, 40)
 
     def test_w_zero_kills_disorder_rotations(self):
         r = DisorderRealization(w=0.0, tau=DEFAULT_TAU, n_steps=2,
