@@ -23,7 +23,8 @@ repeated k times, and builds the maps of all heads, all intervals and all
 tails together, one slot position at a time as a stack (a slot that every
 realization shares at a position is built once, so a shared head or tail is
 one map), and steps the states of all realizations together, k = 0..N, with
-one stacked product per k, in chunks that bound the stacks it holds.  numpy
+one stacked product per k.  Its callers size each call with ``sweep_block``,
+one rule that bounds both the rows and the stacks a call holds.  numpy
 multiplies each matrix of a stack on its own, so a row of the result equals a
 call on its realization alone, bit for bit.  Of each state at measurement it
 keeps the amplitudes, or the diagonal of rho, and reads the probabilities of
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -427,24 +429,40 @@ def _apply_slot_noise(rho: DensityMatrix, s: TimeSlot, noise: NoiseParams) -> No
 # --- sweep engine ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
 def _decay_map(noise: NoiseParams, duration: float, n_qubits: int) -> np.ndarray:
     """Superoperator of ``_apply_slot_noise`` for a slot of ``duration``: its
-    column a is the decayed basis matrix a, read as a row-major vec."""
+    column a is the decayed basis matrix a, read as a row-major vec.  The 4
+    most recent are cached, read-only, so the engine calls of one noisy sweep
+    share one map per slot duration."""
     size = 1 << (2 * n_qubits)
     basis = np.eye(size, dtype=complex).reshape(size, 1 << n_qubits, 1 << n_qubits)
-    return _slot_decay(basis, n_qubits, noise, duration).reshape(size, size).T
+    superop = _slot_decay(basis, n_qubits, noise, duration).reshape(size, size).T
+    superop.flags.writeable = False
+    return superop
 
 
-# The sweep's unit of working memory.  ``workload._imbalance_curves`` calls the
-# engine in blocks of about this many (realization, k) points: a realization
-# counts as its n_steps + 1 points plus 15 for its step matrix and interval,
-# which bounds a block's rows, n_steps 0 included.  The engine builds and steps
-# at most this many map entries' worth of realizations at once (256 ideal, 16
-# noisy), which bounds the few (n, 16, 16) stacks of a noisy build: 4 096
-# noisy realizations at n_steps 0 (blocks of 256) peak near 1.2 MB traced,
-# where building a block's maps at once would take 4.9 MB.  The default
-# config's 120 realizations fit in one block.
+# The sweep's unit of working memory.  ``sweep_block`` sizes every engine call
+# to about this many of whichever a realization holds more of: its
+# (realization, k) points, n_steps + 1 plus 15 for its step matrix and
+# interval, which bound the call's rows, n_steps 0 included; or its map
+# entries, size**2 (16 ideal, 256 noisy), which bound the few (n, size, size)
+# stacks a call builds and steps.  So a call holds 157 ideal or 16 noisy
+# realizations at the default n_steps 10, and 4 at n_steps 1 000.  Traced
+# peaks of ``workload._imbalance_curves`` after a warm-up call (Python 3.11,
+# numpy 2.4): 0.68 MB for 4 096 noisy realizations at n_steps 0, where one
+# call of 256 would build 4.9 MB of maps; 2.65 MB for 400 noisy x 500 steps,
+# the 1.6 MB result included; 0.38 MB ideal and 0.40 MB noisy for the
+# default config's 120 realizations.
 _BLOCK_POINTS = 4096
+
+
+def sweep_block(n_steps: int, n_qubits: int, noise: NoiseParams | None) -> int:
+    """Realizations per ``sweep_probabilities`` call: about ``_BLOCK_POINTS``
+    (realization, k) points or map entries, whichever a realization holds
+    more of, and at least one."""
+    size = 1 << (n_qubits if noise is None else 2 * n_qubits)
+    return max(1, _BLOCK_POINTS // max(size * size, n_steps + 16))
 
 
 def sweep_probabilities(evolutions, n_steps: int, n_qubits: int,
@@ -460,15 +478,16 @@ def sweep_probabilities(evolutions, n_steps: int, n_qubits: int,
     Without ``noise`` each state is a vector stepped by its interval's
     unitary; with it, a row-major vec(rho) stepped by its interval's
     superoperator, each slot's map being its T1/T2 decay times
-    kron(U, conj(U)), as ``run_noisy`` applies them.  The decay maps are built
-    once per call.  The evolutions run in chunks of ``_BLOCK_POINTS`` map
-    entries' worth (see there).  A chunk's heads, intervals and tails are
-    each built one slot position at a time, on a stack that starts as the
-    identity: a position that holds one shared slot object multiplies by
-    that slot's single map, broadcast over the stack; any other position by
-    a stack of slot maps built in one pass.  So a head or a tail that every evolution
-    shares is one map.  The chunk's states step together, one stacked product
-    per k for the intervals, into a preallocated buffer, and one for the rows
+    kron(U, conj(U)), as ``run_noisy`` applies them; the decay maps come
+    from ``_decay_map``'s cache, one per slot duration, shared across calls.
+    All the evolutions run as one stack, so callers size their calls with
+    ``sweep_block``.  The heads, intervals and tails are each built one slot
+    position at a time, on a stack that starts as the identity: a position
+    that holds one shared slot object multiplies by that slot's single map,
+    broadcast over the stack; any other position by a stack of slot maps
+    built in one pass.  So a head or a tail that every evolution shares is
+    one map.  The states step together, one stacked product per k for the
+    intervals, into a preallocated buffer, and one for the rows
     of the tail maps that measurement reads, the amplitudes or the diagonal
     of rho, straight into the record of k; never a whole vec(rho) is kept.
     numpy multiplies each matrix of a stack on its own, so row i equals a
@@ -491,13 +510,9 @@ def sweep_probabilities(evolutions, n_steps: int, n_qubits: int,
     else:
         check_noise_covers(noise, n_qubits)
         size, what, kept = dim * dim, "density matrix trace", slice(None, None, dim + 1)
-        decay: dict = {}
 
         def slot_map(U, s):
-            duration = noise.slot_duration(s)
-            if duration not in decay:
-                decay[duration] = _decay_map(noise, duration, n_qubits)
-            return decay[duration] @ kron(U, U.conj())
+            return _decay_map(noise, noise.slot_duration(s), n_qubits) @ kron(U, U.conj())
 
         def read(diagonals):
             return diagonals.real
@@ -513,20 +528,18 @@ def sweep_probabilities(evolutions, n_steps: int, n_qubits: int,
         """The maps of ``parts``, one tuple of slots per evolution."""
         return ordered_product(map(position_map, zip(*parts)), size)
 
-    chunk = max(1, _BLOCK_POINTS // (size * size))
+    heads, intervals, tails = zip(*evolutions)
+    steps = product(intervals)
+    # the heads' maps applied to |0...0>: their first columns, one per evolution
+    state = np.array(np.broadcast_to(product(heads)[..., :1], (len(evolutions), size, 1)))
+    rows = product(tails)[..., kept, :]  # the rows of the tail maps that measurement reads
+    following = np.empty_like(state)
     # k first, so that each k's product fills one contiguous block
     measured = np.empty((n_steps + 1, len(evolutions), dim, 1), dtype=complex)
-    for start in range(0, len(evolutions), chunk):
-        heads, intervals, tails = zip(*evolutions[start:start + chunk])
-        steps = product(intervals)
-        # the heads' maps applied to |0...0>: their first columns, one per evolution
-        state = np.array(np.broadcast_to(product(heads)[..., :1], (len(intervals), size, 1)))
-        rows = product(tails)[..., kept, :]  # the rows of the tail maps that measurement reads
-        following = np.empty_like(state)
-        for record in measured[:, start:start + chunk]:
-            np.matmul(rows, state, out=record)
-            np.matmul(steps, state, out=following)
-            state, following = following, state
+    for record in measured:
+        np.matmul(rows, state, out=record)
+        np.matmul(steps, state, out=following)
+        state, following = following, state
     return _checked_probabilities(np.ascontiguousarray(read(measured[..., 0]).swapaxes(0, 1)),
                                   what)
 

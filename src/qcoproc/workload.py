@@ -327,8 +327,8 @@ class ExperimentResult:
 
 def _imbalance_curves(rs, config: ExperimentConfig) -> np.ndarray:
     """I(k) for k = 0..N of each realization of ``rs`` (of ``config``), one
-    row each, from the sweep engine in blocks of about ``simulator._BLOCK_POINTS``
-    (realization, k) points.
+    row each, from one sweep engine call per block of
+    ``simulator.sweep_block`` realizations.
 
     Row i equals running every ``build_native_circuit(rs[i], k)`` on
     ``run_ideal``, or on ``run_noisy`` with the config's noise (the chip's
@@ -337,7 +337,7 @@ def _imbalance_curves(rs, config: ExperimentConfig) -> np.ndarray:
     by ``simulator.draw_shots``.  Every point of a block is reduced at once.
     """
     noise = None if config.backend == "ideal" else config.noise or NoiseParams.octobox_defaults()
-    per_block = max(1, simulator._BLOCK_POINTS // (config.n_steps + 16))
+    per_block = simulator.sweep_block(config.n_steps, 2, noise)
     curves = np.empty((len(rs), config.n_steps + 1))
     for start in range(0, len(rs), per_block):
         block = rs[start:start + per_block]

@@ -292,7 +292,8 @@ def _realizations(n: int, n_steps: int) -> list:
 @pytest.mark.parametrize("n_steps", [0, 1, 10])
 @pytest.mark.parametrize("n_intervals", [1, 7, 17])
 def test_batched_rows_equal_single_interval_calls_exactly(backend, n_steps, n_intervals):
-    """17 noisy realizations run in chunks of 16 and 1."""
+    """A call of 17 realizations steps them as one stack, wider than the 16 of
+    a noisy sweep block; each row equals a call on its realization alone."""
     noise = NoiseParams.octobox_defaults() if backend == "noisy" else None
     evolutions = [workload.evolution(r) for r in _realizations(n_intervals, n_steps)]
 
@@ -345,26 +346,61 @@ def test_rows_of_own_heads_and_tails_equal_single_calls_exactly(case, noise):
         assert row.tobytes() == alone[0].tobytes()
 
 
-@pytest.mark.parametrize("backend", ["ideal", "noisy"])
-@pytest.mark.parametrize("mode", ["exact", "sampled"])
-def test_curves_of_several_blocks_equal_per_k_loop_exactly(monkeypatch, backend, mode):
-    """At n_steps 1000 a block holds 4 realizations, so 10 make blocks of 4, 4
-    and 2; each row still equals the per-k loop."""
-    noise = NoiseParams.octobox_defaults() if backend == "noisy" else None
-    config = ExperimentConfig(n_steps=1000, backend=backend, noise=noise,
-                              measurement_mode=mode, n_avg=16)
-    realizations = _realizations(10, config.n_steps)
-    sweep, blocks = simulator.sweep_probabilities, []
+@pytest.mark.parametrize("n_steps, ideal, noisy", [
+    (0, 256, 16), (10, 157, 16), (500, 7, 7), (1000, 4, 4), (workload.MAX_STEPS, 1, 1)])
+def test_sweep_block_bounds_points_and_map_entries(n_steps, ideal, noisy):
+    """About 4 096 (realization, k) points or map entries, whichever is more:
+    16 entries per ideal realization, 256 per noisy one, against n_steps + 16
+    points."""
+    assert simulator.sweep_block(n_steps, 2, None) == ideal
+    assert simulator.sweep_block(n_steps, 2, NoiseParams.octobox_defaults()) == noisy
+
+
+def _counting_sweep(monkeypatch) -> list:
+    """The number of evolutions of each ``sweep_probabilities`` call, in order."""
+    sweep, calls = simulator.sweep_probabilities, []
 
     def counting_sweep(evolutions, *args):
-        blocks.append(len(evolutions))
+        calls.append(len(evolutions))
         return sweep(evolutions, *args)
 
     monkeypatch.setattr(simulator, "sweep_probabilities", counting_sweep)
+    return calls
+
+
+@pytest.mark.parametrize("n_realizations, n_steps, blocks", [
+    (10, 1000, {"ideal": [4, 4, 2], "noisy": [4, 4, 2]}),
+    (40, 10, {"ideal": [40], "noisy": [16, 16, 8]}),
+], ids=["10x1000", "40x10"])
+@pytest.mark.parametrize("backend", ["ideal", "noisy"])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_curves_of_several_blocks_equal_per_k_loop_exactly(monkeypatch, backend, mode,
+                                                           n_realizations, n_steps, blocks):
+    """At n_steps 1000 a block holds 4 realizations, so 10 make blocks of 4, 4
+    and 2; at n_steps 10 a noisy block holds 16, so 40 make blocks of 16, 16
+    and 8, and an ideal one holds all 40.  Each row still equals the per-k loop."""
+    noise = NoiseParams.octobox_defaults() if backend == "noisy" else None
+    config = ExperimentConfig(n_steps=n_steps, backend=backend, noise=noise,
+                              measurement_mode=mode, n_avg=16)
+    realizations = _realizations(n_realizations, config.n_steps)
+    calls = _counting_sweep(monkeypatch)
     curves = workload._imbalance_curves(realizations, config)
-    assert blocks == [4, 4, 2]
+    assert calls == blocks[backend]
     for r, curve in zip(realizations, curves):
         assert curve.tolist() == _per_k_curve(r, config, noise)
+
+
+def test_noisy_blocks_share_one_decay_map_per_slot_duration(monkeypatch, default_realizations):
+    """The default noisy sweep's 8 engine calls build 2 decay maps, one for
+    20 ns slots and one for 40 ns slots, cached read-only."""
+    simulator._decay_map.cache_clear()
+    calls = _counting_sweep(monkeypatch)
+    workload._imbalance_curves(default_realizations, ExperimentConfig(backend="noisy"))
+    assert calls == [16] * 7 + [8]
+    assert simulator._decay_map.cache_info().misses == 2
+    decay = simulator._decay_map(NoiseParams.octobox_defaults(), 20e-9, 2)
+    assert simulator._decay_map.cache_info().misses == 2
+    assert not decay.flags.writeable
 
 
 @pytest.mark.parametrize("backend", ["ideal", "noisy"])
@@ -392,10 +428,10 @@ def test_sampled_sweep_draws_every_shot_through_the_backends_draw(monkeypatch, b
 
 def test_curves_peak_memory_stays_within_a_block():
     """400 noisy realizations x 500 steps run in blocks of 7.  The traced peak
-    holds the 400 x 501 result (1.6 MB) and one block's stacks: 2.42 MB
-    measured (Python 3.11, numpy 2.4).  Stepping every realization in one
-    block reads 32.9 MB, and keeping every vec(rho) of a block instead of
-    its diagonal 3.09 MB."""
+    holds the 400 x 501 result (1.6 MB) and one block's stacks: 2.50 MB
+    measured in the suite, 2.68 MB in a fresh process (Python 3.11, numpy
+    2.4).  Stepping every realization in one block reads 32.9 MB, and
+    keeping every vec(rho) of a block instead of its diagonal 3.09 MB."""
     noise = NoiseParams.octobox_defaults()
     config = ExperimentConfig(n_steps=500, backend="noisy", noise=noise)
     realizations = _realizations(400, config.n_steps)
@@ -409,10 +445,11 @@ def test_curves_peak_memory_stays_within_a_block():
 
 
 def test_curves_peak_memory_of_wide_noisy_blocks_stays_bounded():
-    """4 096 noisy realizations at n_steps 0 run in blocks of 256, whose maps
-    the engine builds and steps 16 realizations at a time.  The traced peak
-    is 1.23 MB measured (Python 3.11, numpy 2.4), about half of it one
-    block's slot objects; building a block's maps all at once read 4.92 MB."""
+    """4 096 noisy realizations at n_steps 0 run in blocks of 16, each one
+    engine call.  The traced peak is 0.66 MB measured in the suite, 0.87 MB
+    in a fresh process (Python 3.11, numpy 2.4); blocks of 256 realizations,
+    stepped 16 at a time, read 1.01 MB, and building the maps of 256 at once
+    4.92 MB."""
     noise = NoiseParams.octobox_defaults()
     config = ExperimentConfig(n_steps=0, backend="noisy", noise=noise)
     realizations = _realizations(4096, config.n_steps)
