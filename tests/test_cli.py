@@ -61,6 +61,22 @@ def test_native_text_bytes_are_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+_MIB = 1 << 20
+
+
+@pytest.mark.parametrize("parts", [
+    ["x" * (_MIB + 12_345), "\n", "tail\n"],  # one part past the file buffer
+    [f"{i}\n" for i in range(5_000)],          # thousands of small parts
+    [],
+], ids=["over-1-mib", "small-parts", "no-parts"])
+def test_output_writes_exactly_the_joined_parts(tmp_path, capsys, parts):
+    out = tmp_path / "doc.txt"
+    cli._output(iter(parts), str(out))
+    assert out.read_text() == "".join(parts)
+    cli._output(iter(parts), None)
+    assert capsys.readouterr().out == "".join(parts)
+
+
 class TestGen:
     def test_census_at_k10(self, tmp_path):
         out = tmp_path / "circ.qasm"

@@ -143,6 +143,27 @@ finite_keys = st.builds(RotationKey.make, st.floats(-50, 50), st.floats(-50, 50)
 quarter_turn_keys = st.builds(lambda i, j: RotationKey.make(i * PI / 4, j * PI / 4),
                               st.integers(-20, 20), st.integers(-20, 20))
 
+# few distinct values, so that phi ties and equal keys are common; keys built
+# directly, as a tuple is, keep -0.0 where RotationKey.make would give 0.0
+_tie_floats = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.75, -1.0, 2.0])
+_any_float = st.floats(-2.0, 2.0, allow_nan=False)
+_direct_keys = st.builds(RotationKey, st.one_of(_tie_floats, _any_float),
+                         st.one_of(_tie_floats, _any_float))
+
+
+@st.composite
+def _key_lists(draw):
+    """Shuffled keys with many phi ties, repeats of equal key objects and of
+    fresh equal keys, and each signed zero next to its twin in either field."""
+    keys = draw(st.lists(st.one_of(_direct_keys, finite_keys), max_size=60))
+    if keys:
+        keys += draw(st.lists(st.sampled_from(keys), max_size=20))
+        keys += [RotationKey(*k) for k in draw(st.lists(st.sampled_from(keys), max_size=10))]
+    for x in draw(st.lists(st.one_of(_tie_floats, _any_float), max_size=6)):
+        keys += [RotationKey(-0.0, x), RotationKey(0.0, x),
+                 RotationKey(x, -0.0), RotationKey(x, 0.0)]
+    return draw(st.permutations(keys))
+
 
 class TestRotationKeyValue:
     """A key is a (phi_over_pi, gamma_over_pi) named tuple."""
@@ -150,6 +171,16 @@ class TestRotationKeyValue:
     @given(st.lists(finite_keys))
     def test_sorted_is_by_phi_then_gamma(self, keys):
         assert sorted(keys) == sorted(keys, key=lambda k: (k.phi_over_pi, k.gamma_over_pi))
+
+    @settings(max_examples=300)
+    @given(_key_lists())
+    def test_sorted_keys_is_sorted(self, keys):
+        """Two stable float sorts give ``sorted``'s list, and its order among
+        equal keys, object for object: a -0.0 key stays where ``sorted`` puts
+        it next to its 0.0 twin, which ``==`` alone cannot tell apart."""
+        ordered = isa.sorted_keys(keys)
+        assert ordered == sorted(keys)
+        assert list(map(id, ordered)) == list(map(id, sorted(keys)))
 
     @given(finite_keys)
     def test_repr_form(self, key):

@@ -1,6 +1,7 @@
 """`qcoproc paging-report`: its direct formatter against `json.dumps`, the
-shipped trace's digest, a capacity failure partway through the stream, and
-a report written part by part, never joined."""
+digests of the shipped trace and of the same stream at capacity 512, a
+capacity failure partway through the stream, and a report written part by
+part, never joined."""
 
 import hashlib
 import json
@@ -79,6 +80,22 @@ def test_default_config_digest(tmp_path):
                      "--out", str(out)]) == 0
     expected = json.loads(REFERENCE.read_text())["paging-report"]["sha256"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_capacity_512_digest():
+    """The default stream at capacity 512: 1 320 runs with dumping lists of up
+    to 480 keys, so nearly all of its 29.7 MB is sorted DLSTs.  Pinned before
+    the DLSTs were sorted through ``isa.sorted_keys``; the parts are hashed
+    one at a time, never joined."""
+    body = json.loads(DEFAULT_CONFIG.read_text())
+    config = ExperimentConfig.from_json_dict({**body, "capacity": 512})
+    digest, size = hashlib.sha256(), 0
+    for part in cli.paging_report_parts(config):
+        data = part.encode()
+        digest.update(data)
+        size += len(data)
+    assert size == 29_688_324
+    assert digest.hexdigest() == "243b5670456ebee777815f632cd15775cea8f11b70bcd91acc7e0c9c738ed01c"
 
 
 def _config_with_capacity(tmp_path, capacity) -> Path:
